@@ -270,20 +270,16 @@ def gpd_hessian(xi: float, beta: float, z):
     xi, beta = float(xi), float(beta)
     zz = _check_gpd_args(xi, beta, z)
     t = zz / beta
+    denom = beta + xi * zz
     if abs(xi) < XI_SERIES_EPS:
         d_xx = t**2 - 2.0 * t**3 / 3.0 + xi * (1.5 * t**4 - 2.0 * t**3)
-        denom = beta + xi * zz
-        d_xb = (zz / denom - zz**2 * (xi + 1.0) / denom**2) / beta
-        d_bb = (-(zz * (xi + 1.0) / denom - 1.0) / beta**2
-                - zz * (xi + 1.0) / (beta * denom**2))
     else:
-        denom = beta + xi * zz
         d_xx = (-2.0 / xi**3 * np.log1p(xi * t)
                 + 2.0 / xi**2 * zz / denom
                 + (1.0 / xi + 1.0) * zz**2 / denom**2)
-        d_xb = (zz / denom - zz**2 * (xi + 1.0) / denom**2) / beta
-        d_bb = (-(zz * (xi + 1.0) / denom - 1.0) / beta**2
-                - zz * (xi + 1.0) / (beta * denom**2))
+    d_xb = (zz / denom - zz**2 * (xi + 1.0) / denom**2) / beta
+    d_bb = (-(zz * (xi + 1.0) / denom - 1.0) / beta**2
+            - zz * (xi + 1.0) / (beta * denom**2))
     return d_xx, d_xb, d_bb
 
 
@@ -299,16 +295,80 @@ def _negloglik(xi: float, beta: float, z: np.ndarray, z_max: float) -> float:
     return n * math.log(beta) + (1.0 + 1.0 / xi) * float(np.log1p(xi * z / beta).sum())
 
 
-def _pwm_start(z: np.ndarray) -> tuple[float, float]:
-    """Probability-weighted-moment seed for the GPD parameters."""
-    n = z.size
-    zs = np.sort(z)
-    b0 = float(zs.mean())
-    b1 = float((zs * (n - 1.0 - np.arange(n)) / (n - 1.0)).mean())
-    denom = b0 - 2.0 * b1
-    if denom <= 0.0 or b0 <= 0.0:
-        return 0.1, b0 if b0 > 0 else 1.0
-    return 2.0 - b0 / denom, 2.0 * b0 * b1 / denom
+def _profile(tau: float, w: np.ndarray) -> tuple[float, float, float]:
+    """Grimshaw's profile likelihood along the ray xi / beta = theta.
+
+    ``w`` holds the exceedances scaled by their maximum and ``tau`` is
+    theta * z_max, so the support constraint reads tau > -1. At fixed theta
+    the likelihood peaks at xi(tau) = mean(log1p(tau w)) with scale
+    beta(tau) = xi / theta = z_max * mean(w h(tau w)), h(u) = log1p(u) / u.
+    Returns (xi, beta / z_max, dF/dtau) for the profiled negative
+    log-likelihood per exceedance F = log(beta) + xi + 1.
+    """
+    u = tau * w
+    log1p_u = np.log1p(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(u == 0.0, 1.0, log1p_u / u)
+        # h'(u); the closed form cancels near u = 0, where its series takes over.
+        dh = np.where(np.abs(u) < 1e-4, -0.5 + u * (2.0 / 3.0 - 0.75 * u),
+                      (u / (1.0 + u) - log1p_u) / u**2)
+    n = w.size
+    b = float(w @ h) / n
+    return (float(log1p_u.sum()) / n, b,
+            float((w * w) @ dh) / (n * b) + float((w / (1.0 + u)).sum()) / n)
+
+
+def _tau_range(w: np.ndarray, lbeta_lo: float, lbeta_hi: float) -> tuple[float, float]:
+    """The tau interval on which the profile stays inside the search box.
+
+    xi(tau) increases and beta(tau) decreases with tau, and tau = 0 (the
+    exponential fit, xi = 0 and beta = mean(z)) is always inside, so each
+    end is the nearer of the two roots xi = XI_BOUNDS and log beta = box
+    edge. ``lbeta_lo`` and ``lbeta_hi`` are in units of z_max.
+    """
+    n = w.size
+
+    def shape(t: float) -> float:
+        return float(np.log1p(t * w).sum()) / n
+
+    def log_scale(t: float) -> float:
+        return math.log(shape(t) / t if t != 0.0 else float(w.sum()) / n)
+
+    lo, hi = -1.0 + 1e-12, 1.0
+    while shape(hi) < XI_BOUNDS[1] and log_scale(hi) > lbeta_lo:
+        hi *= 10.0
+    if shape(lo) < XI_BOUNDS[0]:
+        lo = optimize.brentq(lambda t: shape(t) - XI_BOUNDS[0], lo, 0.0)
+    if log_scale(lo) > lbeta_hi:
+        lo = optimize.brentq(lambda t: log_scale(t) - lbeta_hi, lo, 0.0)
+    if shape(hi) > XI_BOUNDS[1]:
+        hi = optimize.brentq(lambda t: shape(t) - XI_BOUNDS[1], 0.0, hi)
+    if log_scale(hi) < lbeta_lo:
+        hi = optimize.brentq(lambda t: log_scale(t) - lbeta_lo, 0.0, hi)
+    return lo, hi
+
+
+def _face_log_scale(xi: float, z: np.ndarray, z_max: float,
+                    lbeta_lo: float, lbeta_hi: float) -> float | None:
+    """The log beta that maximizes the likelihood at fixed shape ``xi``.
+
+    The scale score times beta, mean(z (1 + xi) / (beta + xi z)) - 1,
+    decreases in beta, so the maximum is its root, clamped to the scale box
+    and to the support constraint beta > -xi z_max. None when no scale in
+    the box satisfies the support constraint.
+    """
+    lo = lbeta_lo if xi >= 0.0 else max(lbeta_lo, math.log(-xi * z_max) + 1e-12)
+    if lo >= lbeta_hi:
+        return None
+
+    def scaled_score(lb: float) -> float:
+        return (1.0 + xi) * float((z / (math.exp(lb) + xi * z)).sum()) / z.size - 1.0
+
+    if scaled_score(lo) <= 0.0:
+        return lo
+    if scaled_score(lbeta_hi) >= 0.0:
+        return lbeta_hi
+    return optimize.brentq(scaled_score, lo, lbeta_hi)
 
 
 def _newton_polish(xi: float, beta: float, z: np.ndarray, z_max: float,
@@ -355,9 +415,22 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
                         threshold_quantile: float | None = None) -> GpdFit:
     """Maximum-likelihood GPD fit to raw exceedances (threshold already removed).
 
-    Multi-start Nelder-Mead over (xi, log beta) inside the search box,
-    followed by a Newton polish on the analytic score. Candidates violating
-    the support constraint 1 + xi * z_max / beta > 0 are rejected outright.
+    The search box is XI_BOUNDS for the shape and LOG_BETA_SPAN around
+    log(mean(z)) for the scale; the support constraint
+    1 + xi * z_max / beta > 0 holds throughout. Grimshaw's (1993)
+    reduction turns the search into one-dimensional problems, and the best
+    of three candidates is kept:
+
+    * the interior optimum of the profile likelihood over theta = xi / beta
+      (see :func:`_profile`), with theta limited to the interval whose
+      profile point lies inside the box (L-BFGS-B on the closed-form
+      profile derivative);
+    * the best scale on each shape face xi = XI_BOUNDS[0] and
+      xi = XI_BOUNDS[1] (a root of the scale score).
+
+    A Newton polish on the analytic score and Hessian follows. Fits within
+    1e-6 of the box edge are flagged ``boundary``; interior fits must pass
+    a gradient check.
     """
     z = as_sample(z)
     if np.any(z < 0.0):
@@ -374,33 +447,27 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
         raise InsufficientTailError("exceedances are all zero; no tail to fit")
     lbeta_lo, lbeta_hi = math.log(beta0) - LOG_BETA_SPAN, math.log(beta0) + LOG_BETA_SPAN
 
-    def objective(p) -> float:
-        xi_c, lb = p
-        if not XI_BOUNDS[0] <= xi_c <= XI_BOUNDS[1] or not lbeta_lo <= lb <= lbeta_hi:
-            return 1e300
-        val = _negloglik(xi_c, math.exp(lb), z, z_max)
-        return 1e300 if not math.isfinite(val) else val
+    w = z / z_max
+    log_z_max = math.log(z_max)
+    tau_lo, tau_hi = _tau_range(w, lbeta_lo - log_z_max, lbeta_hi - log_z_max)
 
-    xi_pwm, beta_pwm = _pwm_start(z)
-    starts = [
-        (xi_pwm, beta_pwm),
-        (0.1, beta0),
-        (-0.2, beta0),
-        (0.5, beta0 / 2.0),
-        (0.9, beta0 / 4.0),
-    ]
-    best = None
-    for xi_s, beta_s in starts:
-        xi_s = min(max(xi_s, XI_BOUNDS[0] + 1e-6), XI_BOUNDS[1] - 1e-6)
-        lb_s = min(max(math.log(max(beta_s, 1e-300)), lbeta_lo + 1e-9), lbeta_hi - 1e-9)
-        res = optimize.minimize(objective, [xi_s, lb_s], method="Nelder-Mead",
-                                options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 600})
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or best.fun >= 1e300:
-        raise ConvergenceError("all GPD likelihood starts failed")
+    def profile_objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        xi_t, b_t, grad = _profile(float(x[0]), w)
+        return math.log(b_t) + xi_t + 1.0, np.array([grad])
 
-    xi_hat, beta_hat = float(best.x[0]), math.exp(float(best.x[1]))
+    res = optimize.minimize(profile_objective, [0.0], jac=True, method="L-BFGS-B",
+                            bounds=[(tau_lo, tau_hi)])
+    xi_p, b_p, _ = _profile(float(res.x[0]), w)
+    candidates = [(xi_p, z_max * b_p)]
+    for xi_face in XI_BOUNDS:
+        lb = _face_log_scale(xi_face, z, z_max, lbeta_lo, lbeta_hi)
+        if lb is not None:
+            candidates.append((xi_face, math.exp(lb)))
+    best_nll, xi_hat, beta_hat = min(
+        (_negloglik(xi_c, beta_c, z, z_max), xi_c, beta_c) for xi_c, beta_c in candidates)
+    if not math.isfinite(best_nll):
+        raise ConvergenceError("no GPD likelihood candidate inside the search box")
+
     xi_hat, beta_hat = _newton_polish(xi_hat, beta_hat, z, z_max, lbeta_lo, lbeta_hi)
 
     boundary = (xi_hat - XI_BOUNDS[0] < 1e-6 or XI_BOUNDS[1] - xi_hat < 1e-6
@@ -456,19 +523,23 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
 # POT quantile / CVaR and the delta-method variance
 # ---------------------------------------------------------------------------
 
-def _log_ratio(fit: GpdFit, alpha: float) -> float:
-    """log(zeta / (1 - alpha)); nonnegative iff alpha covers the threshold."""
+def _log_ratio(zeta: float, alpha: float) -> float:
+    """log(zeta / (1 - alpha)); nonnegative iff alpha covers the threshold.
+
+    A level that misses the threshold level 1 - zeta only by round-off
+    (1e-12 in the log) is treated as the threshold level itself.
+    """
     alpha = _check_alpha(alpha)
-    big_l = math.log(fit.zeta / (1.0 - alpha))
+    big_l = math.log(zeta / (1.0 - alpha))
     if big_l < -1e-12:
         raise TailOrderError(
-            f"alpha={alpha} lies below the threshold level {1.0 - fit.zeta:.6g}")
+            f"alpha={alpha} lies below the threshold level {1.0 - zeta:.6g}")
     return max(big_l, 0.0)
 
 
 def pot_var(fit: GpdFit, alpha: float) -> float:
     """Tail-extrapolated quantile u + (beta/xi) [ (zeta/(1-alpha))^xi - 1 ]."""
-    big_l = _log_ratio(fit, alpha)
+    big_l = _log_ratio(fit.zeta, alpha)
     if abs(fit.xi) < XI_ZERO_EPS:
         return fit.u + fit.beta * big_l
     return fit.u + fit.beta * math.expm1(fit.xi * big_l) / fit.xi
@@ -507,7 +578,7 @@ def pot_cvar_value(fit: GpdFit, alpha: float) -> float:
     for a finite tail mean."""
     if fit.xi >= 1.0:
         raise HeavyTailError(f"xi={fit.xi} >= 1: CVaR is infinite")
-    big_l = _log_ratio(fit, alpha)
+    big_l = _log_ratio(fit.zeta, alpha)
     return fit.u + fit.beta * _excess_factor(fit.xi, big_l)
 
 
@@ -529,9 +600,7 @@ def cvar_sensitivity(xi: float, beta: float, u: float, zeta: float,
     """
     if xi >= 1.0:
         raise HeavyTailError(f"xi={xi} >= 1: CVaR is infinite")
-    big_l = math.log(zeta / (1.0 - _check_alpha(alpha)))
-    if big_l < 0.0:
-        raise TailOrderError(f"alpha={alpha} lies below the threshold level {1 - zeta:.6g}")
+    big_l = _log_ratio(zeta, alpha)
     return beta * _excess_factor_dxi(xi, big_l), _excess_factor(xi, big_l)
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from evtkrig import evt_risk as er
@@ -229,7 +230,106 @@ class TestFitGpd:
         rng = np.random.default_rng(10)
         z = rng.triangular(0.0, 2.5, 5.0, size=50_000)
         fit = er.fit_gpd_exceedances(z)
-        assert fit.xi <= -0.4
+        assert fit.boundary
+        assert fit.xi == pytest.approx(er.XI_BOUNDS[0], abs=1e-6)
+
+    def test_degenerate_tails_stay_in_the_box(self):
+        # A point mass sits on the lower shape face; one far outlier over a
+        # flat bulk drives the shape to the upper face.
+        flat = er.fit_gpd_exceedances(np.full(40, 2.0))
+        assert flat.boundary and flat.xi == pytest.approx(er.XI_BOUNDS[0], abs=1e-6)
+        outlier = er.fit_gpd_exceedances(np.r_[np.ones(29), 1e6])
+        assert outlier.boundary and outlier.xi == pytest.approx(er.XI_BOUNDS[1], abs=1e-6)
+        with pytest.raises(er.SingularInformationError):
+            er.fit_gpd_exceedances(np.r_[np.zeros(999), 1.0])
+
+    def test_profile_derivative_matches_finite_differences(self):
+        rng = np.random.default_rng(13)
+        w = rng.uniform(0.01, 1.0, size=200)
+        w[0] = 1.0
+        h = 1e-6
+        for tau in (-0.9, -0.3, -1e-3, -5e-5, 0.0, 5e-5, 1e-3, 0.7, 25.0):
+            xi, b, grad = er._profile(tau, w)
+            up, dn = er._profile(tau + h, w), er._profile(tau - h, w)
+            fd = (math.log(up[1]) + up[0] - math.log(dn[1]) - dn[0]) / (2 * h)
+            assert grad == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            # The profile point is the shape-optimal point on its ray: xi = tau * beta.
+            assert xi == pytest.approx(tau * b, rel=1e-12, abs=1e-15)
+        # theta -> 0 limit: F'(0) = m1 - m2 / (2 m1) in the moments of w.
+        m1, m2 = w.mean(), (w * w).mean()
+        assert er._profile(0.0, w)[2] == pytest.approx(m1 - m2 / (2 * m1), rel=1e-12)
+
+
+def gpd_or_bounded_exceedances():
+    """Exceedance sets from GPD tails and from bounded (triangular) tails.
+
+    The triangular sets have a true shape of -1/2, outside the search box, so
+    most of their fits land on the lower shape face.
+    """
+    def draw(args):
+        kind, xi, beta, n, seed = args
+        rng = np.random.default_rng(seed)
+        if kind == "triangular":
+            return rng.triangular(0.0, 0.0, beta, size=n)
+        # expm1 keeps the inverse transform exact for shapes near zero.
+        log_v = np.log1p(-rng.random(n))
+        return beta * np.expm1(-xi * log_v) / xi if xi != 0.0 else -beta * log_v
+
+    return st.tuples(st.sampled_from(["gpd", "triangular"]),
+                     st.floats(-0.45, 0.9), st.floats(0.1, 10.0),
+                     st.integers(er.MIN_EXCEEDANCES, 400),
+                     st.integers(0, 2**32 - 1)).map(draw)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestFitGpdProperties:
+    @PROPERTY_SETTINGS
+    @given(z=gpd_or_bounded_exceedances(), log_c=st.floats(-3.0, 3.0))
+    def test_scale_equivariance(self, z, log_c):
+        c = 10.0**log_c
+        fit, scaled = er.fit_gpd_exceedances(z), er.fit_gpd_exceedances(c * z)
+        assert scaled.boundary == fit.boundary
+        assert scaled.xi == pytest.approx(fit.xi, abs=1e-6)
+        assert scaled.beta == pytest.approx(c * fit.beta, rel=1e-6)
+
+    @PROPERTY_SETTINGS
+    @given(z=gpd_or_bounded_exceedances(), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_invariance(self, z, seed):
+        fit = er.fit_gpd_exceedances(z)
+        shuffled = er.fit_gpd_exceedances(np.random.default_rng(seed).permutation(z))
+        assert shuffled.boundary == fit.boundary
+        assert shuffled.xi == pytest.approx(fit.xi, abs=1e-8)
+        assert shuffled.beta == pytest.approx(fit.beta, rel=1e-8)
+        assert shuffled.loglik == pytest.approx(fit.loglik, rel=1e-12, abs=1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(z=gpd_or_bounded_exceedances())
+    def test_profile_identity_at_interior_fits(self, z):
+        fit = er.fit_gpd_exceedances(z)
+        if not fit.boundary:
+            assert fit.xi == pytest.approx(
+                float(np.log1p(fit.xi * z / fit.beta).mean()), abs=1e-8)
+
+    @PROPERTY_SETTINGS
+    @given(z=gpd_or_bounded_exceedances(),
+           offsets=st.lists(st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)),
+                            min_size=1, max_size=8))
+    def test_no_better_point_nearby(self, z, offsets):
+        fit = er.fit_gpd_exceedances(z)
+        lbeta0 = math.log(z.mean())
+        compass = [(1e-3 * math.cos(a), 1e-3 * math.sin(a))
+                   for a in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
+        for d_xi, d_lbeta in compass + offsets:
+            xi, lbeta = fit.xi + d_xi, math.log(fit.beta) + d_lbeta
+            if not (er.XI_BOUNDS[0] <= xi <= er.XI_BOUNDS[1]
+                    and abs(lbeta - lbeta0) <= er.LOG_BETA_SPAN):
+                continue
+            if xi < 0.0 and 1.0 + xi * z.max() / math.exp(lbeta) <= 0.0:
+                continue
+            loglik = float(np.sum(er.gpd_logpdf(xi, math.exp(lbeta), z)))
+            assert loglik <= fit.loglik + 1e-9 * max(1.0, abs(fit.loglik))
 
 
 def exact_exponential_fit(n=1000):
@@ -352,6 +452,20 @@ class TestDeltaVariance:
                         beta=1.0, info=np.eye(2), loglik=0.0)
         with pytest.warns(er.HeavyTailWarning):
             er.delta_variance(fit, 0.99)
+
+    def test_alpha_at_threshold_level_has_a_variance(self):
+        # 1 - 0.95 rounds above zeta = 0.05, so log(zeta / (1 - alpha)) is a
+        # hair below zero; value and variance must both accept the level.
+        rng = np.random.default_rng(14)
+        fit = er.fit_gpd(rng.exponential(size=600), 0.95)
+        assert fit.zeta == 0.05
+        value = er.pot_cvar_value(fit, 0.95)
+        assert er.delta_variance(fit, 0.95) > 0.0
+        assert value == pytest.approx(fit.u + fit.beta / (1.0 - fit.xi), rel=1e-12)
+        assert er.cvar_sensitivity(fit.xi, fit.beta, fit.u, fit.zeta, 0.95)[1] == \
+            pytest.approx(1.0 / (1.0 - fit.xi), rel=1e-12)
+        with pytest.raises(er.TailOrderError):
+            er.cvar_sensitivity(fit.xi, fit.beta, fit.u, fit.zeta, 0.9)
 
     def test_singular_information_rejected(self):
         fit = er.GpdFit(u=0.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.1,
