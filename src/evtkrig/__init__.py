@@ -31,7 +31,7 @@ from .harness import (
     run_experiment,
     wilcoxon_signed_rank,
 )
-from .kriging import DesignSite, FitOptions, KrigingModel
+from .kriging import DesignSite, KrigingModel
 from .kriging import fit as fit_kriging
 from .kriging import kernel
 from .models import (
@@ -53,7 +53,7 @@ __all__ = [
     "EMP_EMP", "METHODS", "ORD_KRG", "POT_EMP", "POT_EVT",
     "ExperimentConfig", "ResultRecord", "estimate_site", "run_experiment",
     "wilcoxon_signed_rank",
-    "DesignSite", "FitOptions", "KrigingModel", "fit_kriging", "kernel",
+    "DesignSite", "KrigingModel", "fit_kriging", "kernel",
     "benchmark_mean", "san_simulate", "san_true_cvar", "sample_noise",
     "true_cvar_benchmark",
     "RngStream",

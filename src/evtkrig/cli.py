@@ -15,20 +15,19 @@ Flags ``--seed``, ``--threads`` and ``--out-dir`` may also be supplied via
 the environment as ``EVTKRIG_SEED``, ``EVTKRIG_THREADS`` and
 ``EVTKRIG_OUT_DIR``; explicit flags win over the environment.
 
-Config schema (version 1), JSON object with keys:
+Config schema (version 1): a JSON object whose ``version`` is 1. Three
+list keys span the grid; each scenario with each of its allocations (or SAN
+budgets) is one ``harness.ExperimentConfig`` cell:
 
-    version               required, must be 1
     scenarios             required: list from {normal, triangular, pareto, san}
-    allocations           catalog ids 1..15; required with benchmark scenarios
-    san_budgets           observations per design point; required with "san"
-    alphas                optional, default [0.95, 0.99, 0.995]
-    macro_replications    optional, default 10
-    seed                  optional, default 42
-    methods               optional subset of {ORD-KRG, POT-EMP, EMP-EMP, POT-EVT}
-    test_points           optional, default 200 (benchmark test-set size)
-    threshold_quantile    optional, default 0.9
+    allocations           budget catalog ids; given exactly with benchmark scenarios
+    san_budgets           observations per design point; given exactly with "san"
 
-Unknown keys are rejected; every schema violation is reported before exit.
+The other keys set one field of every cell, and an absent key leaves the
+field's default: alphas, macro_replications, seed, methods, test_points
+(field ``n_test``) and threshold_quantile. ``ExperimentConfig.validate``
+enforces every field rule. Unknown keys are rejected, and every schema
+violation of every cell is reported before exit.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evt_risk, harness, kriging, models
-from .design import Domain, allocation_by_id, equally_spaced, lhs
+from .design import Domain, equally_spaced, lhs
+from .harness import _fmt
 from .rng import RngStream
 
 ENV_PREFIX = "EVTKRIG_"
@@ -52,18 +52,14 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 CONFIG_VERSION = 1
-_CONFIG_KEYS = {
-    "version", "scenarios", "allocations", "san_budgets", "alphas",
-    "macro_replications", "seed", "methods", "test_points", "threshold_quantile",
-}
-_CONFIG_DEFAULTS = {
-    "alphas": [0.95, 0.99, 0.995],
-    "macro_replications": 10,
-    "seed": 42,
-    "methods": None,
-    "test_points": 200,
-    "threshold_quantile": 0.9,
-}
+# Config keys and the ExperimentConfig field each one sets. A grid key holds a
+# list, one cell per value; a cell key sets the same value in every cell.
+_GRID_KEYS = {"scenarios": "scenario", "allocations": "allocation",
+              "san_budgets": "san_budget"}
+_CELL_KEYS = {"alphas": "alphas", "macro_replications": "macro_replications",
+              "seed": "seed", "methods": "methods", "test_points": "n_test",
+              "threshold_quantile": "threshold_quantile"}
+_KEY_OF_FIELD = {field: key for key, field in {**_GRID_KEYS, **_CELL_KEYS}.items()}
 
 
 class ValidationFailure(Exception):
@@ -81,58 +77,35 @@ def _env_default(name: str, cast, fallback):
                                 f"is not a valid {cast.__name__}")
 
 
-def read_loss_csv(path: str) -> np.ndarray:
-    """Read the first column of a CSV as floats; one header row is allowed."""
+def read_csv(path: str, columns: int | None = None) -> np.ndarray:
+    """Read CSV rows as a 2-D float array, taking the first ``columns`` cells
+    of each row (every cell by default).
+
+    A first row that does not parse is a header. Rows whose cells are all
+    blank are skipped; a blank cell in any other row is an error.
+    """
     rows = []
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for idx, row in enumerate(reader):
-                if not row or not row[0].strip():
+            for line, row in enumerate(csv.reader(fh), start=1):
+                cells = [c.strip() for c in row[:columns]]
+                if not any(cells):
                     continue
-                try:
-                    rows.append(float(row[0]))
-                except ValueError:
-                    if idx == 0:
-                        continue  # header
-                    raise ValidationFailure(
-                        f"{path}: non-numeric value {row[0]!r} on line {idx + 1}")
-    except OSError as exc:
-        raise ValidationFailure(f"cannot read {path}: {exc}")
-    if not rows:
-        raise ValidationFailure(f"{path}: no numeric observations found")
-    return np.asarray(rows, dtype=float)
-
-
-def read_points_csv(path: str) -> np.ndarray:
-    """Read point rows (all columns numeric); one header row is allowed."""
-    rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for idx, row in enumerate(reader):
-                cells = [c for c in row if c.strip()]
-                if not cells:
-                    continue
+                if not all(cells):
+                    raise ValidationFailure(f"{path}: empty cell on line {line}")
                 try:
                     rows.append([float(c) for c in cells])
                 except ValueError:
-                    if idx == 0:
-                        continue
-                    raise ValidationFailure(
-                        f"{path}: non-numeric point row on line {idx + 1}")
+                    if line == 1:
+                        continue  # header
+                    raise ValidationFailure(f"{path}: non-numeric value on line {line}")
     except OSError as exc:
         raise ValidationFailure(f"cannot read {path}: {exc}")
     if not rows:
-        raise ValidationFailure(f"{path}: no points found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+        raise ValidationFailure(f"{path}: no numeric rows found")
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValidationFailure(f"{path}: rows have inconsistent column counts")
     return np.asarray(rows, dtype=float)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -158,16 +131,15 @@ def _fit_report(fit: evt_risk.GpdFit) -> dict:
 
 
 def cmd_fit_gpd(args) -> int:
-    losses = read_loss_csv(args.input)
+    losses = read_csv(args.input, columns=1)[:, 0]
     fit = evt_risk.fit_gpd(losses, args.threshold_quantile)
     _emit(json.dumps(_fit_report(fit), indent=2, sort_keys=True), args.out)
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    losses = read_loss_csv(args.input)
-    if not 0.0 < args.alpha < 1.0:
-        raise ValidationFailure(f"--alpha must lie in (0, 1), got {args.alpha}")
+    losses = read_csv(args.input, columns=1)[:, 0]
+    evt_risk._check_alpha(args.alpha)
     payload: dict = {"alpha": args.alpha, "method": args.method, "n": int(losses.size)}
     if args.method == "empirical":
         est = evt_risk.empirical_cvar(losses, args.alpha)
@@ -184,7 +156,11 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: int | None = None) -> list[harness.ExperimentConfig]:
+    """Expand a config file into its validated experiment cells.
+
+    ``seed``, when given, replaces the config's seed in every cell.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -194,104 +170,52 @@ def _load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationFailure("config must be a JSON object")
 
-    errors = []
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    for key in unknown:
-        errors.append(f"unknown key {key!r}")
-    if raw.get("version") != CONFIG_VERSION:
-        errors.append(f"version must be {CONFIG_VERSION}, got {raw.get('version')!r}")
-
+    problems = [f"{key}: unknown key"
+                for key in sorted(set(raw) - {"version", *_GRID_KEYS, *_CELL_KEYS})]
+    version = raw.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:
+        problems.append(f"version: must be {CONFIG_VERSION}, got {version!r}")
     scenarios = raw.get("scenarios")
-    if (not isinstance(scenarios, list) or not scenarios
-            or any(s not in models.NOISE_SCENARIOS + ("san",) for s in scenarios)):
-        errors.append("scenarios must be a non-empty list from "
-                      "{normal, triangular, pareto, san}")
+    if not isinstance(scenarios, list) or not scenarios:
+        problems.append(f"scenarios: must be a non-empty list, got {scenarios!r}")
         scenarios = []
-    benchmark = [s for s in scenarios if s != "san"]
+    grid = {}
+    for key, used in (("allocations", any(s != "san" for s in scenarios)),
+                      ("san_budgets", "san" in scenarios)):
+        value = grid[key] = raw.get(key, [None])
+        if key in raw and not used:
+            problems.append(f"{key}: given, but no scenario in scenarios uses it")
+        elif not isinstance(value, list) or not value:
+            problems.append(f"{key}: must be a non-empty list, got {value!r}")
+            grid[key] = []
 
-    allocations = raw.get("allocations")
-    if benchmark:
-        if not isinstance(allocations, list) or not allocations:
-            errors.append("allocations (catalog ids) are required with benchmark scenarios")
-        else:
-            for a in allocations:
-                if not isinstance(a, int) or not 1 <= a <= 15:
-                    errors.append(f"allocation id {a!r} outside the catalog 1..15")
-    elif allocations:
-        errors.append("allocations given but no benchmark scenario requested")
-
-    san_budgets = raw.get("san_budgets")
-    if "san" in scenarios:
-        if not isinstance(san_budgets, list) or not san_budgets:
-            errors.append("san_budgets are required with the san scenario")
-        else:
-            for b in san_budgets:
-                if not isinstance(b, int) or b < 100:
-                    errors.append(f"san budget {b!r} must be an integer >= 100")
-    elif san_budgets:
-        errors.append("san_budgets given but the san scenario is not requested")
-
-    alphas = raw.get("alphas", _CONFIG_DEFAULTS["alphas"])
-    if (not isinstance(alphas, list) or not alphas
-            or any(not isinstance(a, (int, float)) or not 0 < a < 1 for a in alphas)):
-        errors.append("alphas must be a non-empty list of numbers in (0, 1)")
-
-    macro = raw.get("macro_replications", _CONFIG_DEFAULTS["macro_replications"])
-    if not isinstance(macro, int) or macro < 1:
-        errors.append("macro_replications must be an integer >= 1")
-
-    seed = raw.get("seed", _CONFIG_DEFAULTS["seed"])
-    if not isinstance(seed, int) or seed < 0:
-        errors.append("seed must be a nonnegative integer")
-
-    methods = raw.get("methods", _CONFIG_DEFAULTS["methods"])
-    if methods is not None:
-        if (not isinstance(methods, list) or not methods
-                or any(m not in harness.METHODS for m in methods)):
-            errors.append(f"methods must be a non-empty subset of {list(harness.METHODS)}")
-
-    test_points = raw.get("test_points", _CONFIG_DEFAULTS["test_points"])
-    if not isinstance(test_points, int) or test_points < 2:
-        errors.append("test_points must be an integer >= 2")
-
-    tq = raw.get("threshold_quantile", _CONFIG_DEFAULTS["threshold_quantile"])
-    if not isinstance(tq, (int, float)) or not 0 < tq < 1:
-        errors.append("threshold_quantile must lie in (0, 1)")
-
-    if errors:
-        raise ValidationFailure("invalid config:\n  - " + "\n  - ".join(errors))
-    return {"scenarios": scenarios, "allocations": allocations or [],
-            "san_budgets": san_budgets or [], "alphas": [float(a) for a in alphas],
-            "macro_replications": macro, "seed": seed,
-            "methods": tuple(methods) if methods else None,
-            "test_points": test_points, "threshold_quantile": float(tq)}
+    shared = {field: tuple(raw[key]) if isinstance(raw[key], list) else raw[key]
+              for key, field in _CELL_KEYS.items() if key in raw}
+    if seed is not None:
+        shared["seed"] = seed
+    cells = []
+    for scenario in scenarios:
+        key = "san_budgets" if scenario == "san" else "allocations"
+        cells += [harness.ExperimentConfig(scenario=scenario, **{_GRID_KEYS[key]: value},
+                                           **shared) for value in grid[key]]
+    for cell in cells:
+        try:
+            cell.validate()
+        except harness.ConfigError as exc:
+            problems += [f"{_KEY_OF_FIELD[name]}: {message}" for name, message in exc.args]
+    if problems:
+        raise ValidationFailure("invalid config:\n  - "
+                                + "\n  - ".join(dict.fromkeys(problems)))
+    return cells
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    cells = _load_config(args.config, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     records = []
-    for scenario in cfg["scenarios"]:
-        if scenario == "san":
-            cells = [harness.ExperimentConfig(
-                scenario="san", san_budget=b, alphas=tuple(cfg["alphas"]),
-                macro_replications=cfg["macro_replications"], seed=seed,
-                methods=cfg["methods"], threshold_quantile=cfg["threshold_quantile"])
-                for b in cfg["san_budgets"]]
-        else:
-            cells = [harness.ExperimentConfig(
-                scenario=scenario, allocation=allocation_by_id(a),
-                alphas=tuple(cfg["alphas"]),
-                macro_replications=cfg["macro_replications"], seed=seed,
-                methods=cfg["methods"], n_test=cfg["test_points"],
-                threshold_quantile=cfg["threshold_quantile"])
-                for a in cfg["allocations"]]
-        for cell in cells:
-            records.extend(harness.run_experiment(cell, threads=args.threads))
-
+    for cell in cells:
+        records.extend(harness.run_experiment(cell, threads=args.threads))
     harness.write_results_csv(records, out_dir / "results.csv")
     harness.write_summary_csv(records, out_dir / "summary.csv")
     harness.write_boxplot_csv(records, out_dir / "boxplot.csv")
@@ -306,7 +230,7 @@ def cmd_predict(args) -> int:
         raise ValidationFailure(f"cannot read model {args.model}: {exc}")
     except (ValueError, KeyError) as exc:
         raise ValidationFailure(f"bad model file {args.model}: {exc}")
-    points = read_points_csv(args.points)
+    points = read_csv(args.points)
     if points.shape[1] != model.dim:
         raise ValidationFailure(
             f"points have dimension {points.shape[1]}, model expects {model.dim}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.stats import norm, rankdata
 
 from . import evt_risk, kriging, models
-from .design import BudgetAllocation, Domain, equally_spaced, lhs
+from .design import BudgetAllocation, Domain, allocation_by_id, equally_spaced, lhs
 from .rng import RngStream
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "POT_EVT",
     "METHODS",
     "SiteEstimate",
+    "ConfigError",
     "ExperimentConfig",
     "ResultRecord",
     "estimate_site",
@@ -165,12 +167,34 @@ def estimate_site(method: str, samples, alpha: float,
 # Experiment configuration and records
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _non_empty(value) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) > 0
+
+
+def _in_unit(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 < value < 1.0)
+
+
+class ConfigError(ValueError):
+    """The field rules an :class:`ExperimentConfig` breaks, one
+    ``(field, message)`` pair per argument."""
+
+    def __str__(self) -> str:
+        return "invalid experiment config:" + "".join(
+            f"\n  - {name}: {message}" for name, message in self.args)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment cell grid: a scenario at one budget allocation."""
 
     scenario: str  # "normal" | "triangular" | "pareto" | "san"
-    allocation: BudgetAllocation | None = None
+    allocation: BudgetAllocation | int | None = None  # catalog row or its id
     san_budget: int | None = None
     alphas: tuple[float, ...] = (0.95, 0.99, 0.995)
     macro_replications: int = 10
@@ -180,50 +204,68 @@ class ExperimentConfig:
     threshold_quantile: float = 0.9
 
     def validate(self) -> None:
-        if self.scenario not in models.NOISE_SCENARIOS + ("san",):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scenario == "san":
-            if self.san_budget is None or self.san_budget < 100:
-                raise ValueError("SAN experiments need san_budget >= 100 observations")
-        else:
-            if self.allocation is None:
-                raise ValueError("benchmark experiments need a budget allocation")
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha {a} outside (0, 1)")
-        if not self.alphas:
-            raise ValueError("need at least one alpha")
-        if self.macro_replications < 1:
-            raise ValueError("macro_replications must be >= 1")
-        if not 0.0 < self.threshold_quantile < 1.0:
-            raise ValueError("threshold_quantile must lie in (0, 1)")
-        if self.n_test < 2:
-            raise ValueError("n_test must be >= 2")
-        for m in self.methods or ():
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+        """Check every field; raise one :class:`ConfigError` listing each
+        violation. Integer fields reject ``bool``."""
+        scenarios = models.NOISE_SCENARIOS + ("san",)
+        rules = (
+            ("scenario", self.scenario in scenarios, f"one of {scenarios}"),
+            ("san_budget", self.scenario != "san"
+             or (_is_int(self.san_budget) and self.san_budget >= 100), "an integer >= 100"),
+            ("alphas", _non_empty(self.alphas) and all(_in_unit(a) for a in self.alphas),
+             "a non-empty list of numbers in (0, 1)"),
+            ("macro_replications",
+             _is_int(self.macro_replications) and self.macro_replications >= 1,
+             "an integer >= 1"),
+            ("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
+            ("methods", self.methods is None or (
+                _non_empty(self.methods) and all(m in METHODS for m in self.methods)),
+             f"a non-empty subset of {METHODS}"),
+            ("n_test", _is_int(self.n_test) and self.n_test >= 2, "an integer >= 2"),
+            ("threshold_quantile", _in_unit(self.threshold_quantile), "a number in (0, 1)"),
+        )
+        problems = [(name, f"must be {rule}, got {getattr(self, name)!r}")
+                    for name, ok, rule in rules if not ok]
+        if (self.scenario in models.NOISE_SCENARIOS
+                and not isinstance(self.allocation, BudgetAllocation)):
+            if not _is_int(self.allocation):
+                problems.append(("allocation", "benchmark experiments need a budget "
+                                 f"allocation or its catalog id, got {self.allocation!r}"))
+            else:
+                try:
+                    allocation_by_id(self.allocation)
+                except ValueError as exc:
+                    problems.append(("allocation", str(exc)))
+        if problems:
+            raise ConfigError(*problems)
+
+    @property
+    def budget_allocation(self) -> BudgetAllocation:
+        """The catalog row of a benchmark cell."""
+        if isinstance(self.allocation, BudgetAllocation):
+            return self.allocation
+        return allocation_by_id(self.allocation)
 
     @property
     def n_reps(self) -> int:
-        return 1 if self.scenario == "san" else self.allocation.n
+        return 1 if self.scenario == "san" else self.budget_allocation.n
 
     @property
     def n_obs(self) -> int:
-        return self.san_budget if self.scenario == "san" else self.allocation.n_obs
+        return self.san_budget if self.scenario == "san" else self.budget_allocation.n_obs
 
     @property
     def n_sites(self) -> int:
-        return SAN_DESIGN_POINTS if self.scenario == "san" else self.allocation.k
+        return SAN_DESIGN_POINTS if self.scenario == "san" else self.budget_allocation.k
 
     @property
     def allocation_id(self) -> int:
-        return self.san_budget if self.scenario == "san" else self.allocation.id
+        return self.san_budget if self.scenario == "san" else self.budget_allocation.id
 
     @property
     def allocation_label(self) -> str:
         if self.scenario == "san":
             return f"7-1-{self.san_budget}"
-        return self.allocation.label
+        return self.budget_allocation.label
 
     def resolved_methods(self) -> tuple[str, ...]:
         if self.methods is not None:
@@ -303,7 +345,7 @@ def _design_points(config: ExperimentConfig, macro_rep: int) -> np.ndarray:
     if config.scenario == "san":
         return equally_spaced(Domain((models.SAN_LOWER,), (models.SAN_UPPER,)),
                               SAN_DESIGN_POINTS)
-    return lhs(_benchmark_domain(), config.allocation.k,
+    return lhs(_benchmark_domain(), config.n_sites,
                RngStream(config.seed, (_KEY_DESIGN, macro_rep)))
 
 
@@ -377,16 +419,20 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     macro-replication, so method comparisons are paired. A failed fit
     aborts only its own cell; the failure is recorded in the record's
     diagnostics with ``mape`` left empty. Records come back sorted, so a
-    fixed seed yields identical output regardless of ``threads``.
+    fixed seed yields identical output regardless of ``threads``. At most
+    one worker process per macro-replication is started.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     config.validate()
     probe = _design_points(config, 0)
     test_points = _test_set(config, probe)
     truths = {alpha: _truth(config, test_points, alpha) for alpha in config.alphas}
 
     reps = range(config.macro_replications)
-    if threads > 1 and config.macro_replications > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, config.macro_replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_macro_rep, [config] * len(reps), reps,
                                    [test_points] * len(reps), [truths] * len(reps)))
     else:

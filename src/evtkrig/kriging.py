@@ -25,7 +25,6 @@ from scipy import linalg, optimize
 
 __all__ = [
     "DesignSite",
-    "FitOptions",
     "KrigingModel",
     "SingularDesignError",
     "KrigingFitError",
@@ -41,6 +40,11 @@ NUGGET_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # Jitter used for the alternative candidate fitted on all-zero-noise designs
 # whose likelihood optimum may be unreachable at nugget 0 (see fit()).
 NUGGET_FLOOR = 1e-8
+# Likelihood search: L-BFGS-B from N_STARTS Latin-hypercube starts drawn from
+# default_rng(START_SEED), at most MAX_ITER iterations each.
+N_STARTS = 10
+START_SEED = 0
+MAX_ITER = 200
 
 
 class SingularDesignError(RuntimeError):
@@ -62,20 +66,6 @@ class DesignSite:
     def __post_init__(self):
         if self.intrinsic_variance < 0.0:
             raise ValueError("intrinsic variance must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    nugget: float = 0.0
-    n_starts: int = 10
-    start_seed: int = 0
-    max_iter: int = 200
-    theta_bounds: tuple[float, float] | None = None  # common to all dimensions
-    tau2_bounds: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.nugget < 0.0:
-            raise ValueError("nugget must be nonnegative")
 
 
 def kernel(a, b, theta) -> float:
@@ -233,20 +223,12 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
                         nugget=float(nugget), loglik=ll, _chol=chol, _weights=weights)
 
 
-def _search_box(locs: np.ndarray, resp: np.ndarray,
-                opts: FitOptions) -> tuple[np.ndarray, np.ndarray]:
+def _search_box(locs: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     widths = locs.max(axis=0) - locs.min(axis=0)
     widths = np.where(widths > 0.0, widths, 1.0)
-    if opts.theta_bounds is not None:
-        th_lo = np.full(locs.shape[1], opts.theta_bounds[0])
-        th_hi = np.full(locs.shape[1], opts.theta_bounds[1])
-    else:
-        th_lo, th_hi = 1e-3 / widths**2, 1e3 / widths**2
+    th_lo, th_hi = 1e-3 / widths**2, 1e3 / widths**2
     scale = max(float(np.var(resp)), 1e-12)
-    if opts.tau2_bounds is not None:
-        t2_lo, t2_hi = opts.tau2_bounds
-    else:
-        t2_lo, t2_hi = 1e-6 * scale, 1e3 * scale
+    t2_lo, t2_hi = 1e-6 * scale, 1e3 * scale
     lo = np.log(np.concatenate(([t2_lo], th_lo)))
     hi = np.log(np.concatenate(([t2_hi], th_hi)))
     return lo, hi
@@ -259,19 +241,18 @@ def _lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def fit(sites, opts: FitOptions | None = None) -> KrigingModel:
+def fit(sites) -> KrigingModel:
     """Fit hyperparameters by profile-likelihood maximization.
 
-    The search runs L-BFGS-B over (log tau^2, log theta) from ``n_starts``
-    Latin-hypercube start points in the bound box, at the requested nugget
-    (default 0). All-zero-noise designs additionally fit a jittered
-    candidate (nugget 1e-8) because their likelihood optimum may be
+    The search runs L-BFGS-B over (log tau^2, log theta) from ``N_STARTS``
+    Latin-hypercube start points in the bound box, at nugget 0.
+    All-zero-noise designs additionally fit a jittered candidate
+    (nugget 1e-8) because their likelihood optimum may be
     unreachable at nugget 0; the higher-likelihood candidate wins, with
     ties going to the exact-interpolation model. If neither search yields
     a usable covariance, the nugget escalates through 1e-12 .. 1e-6. The
     nugget actually used is recorded on the model.
     """
-    opts = opts or FitOptions()
     sites = list(sites)
     locs, resp, intr = _site_arrays(sites)
     k = locs.shape[0]
@@ -285,9 +266,9 @@ def fit(sites, opts: FitOptions | None = None) -> KrigingModel:
             raise SingularDesignError(
                 f"duplicate design sites {tuple(locs[a])} with zero intrinsic variance")
 
-    lo, hi = _search_box(locs, resp, opts)
-    rng = np.random.default_rng(opts.start_seed)
-    starts = lo + _lhs_unit(opts.n_starts, lo.size, rng) * (hi - lo)
+    lo, hi = _search_box(locs, resp)
+    rng = np.random.default_rng(START_SEED)
+    starts = lo + _lhs_unit(N_STARTS, lo.size, rng) * (hi - lo)
 
     def search(nugget: float):
         def negll(params: np.ndarray) -> float:
@@ -302,7 +283,7 @@ def fit(sites, opts: FitOptions | None = None) -> KrigingModel:
         for x0 in starts:
             res = optimize.minimize(negll, x0, method="L-BFGS-B",
                                     bounds=list(zip(lo, hi)),
-                                    options={"maxiter": opts.max_iter})
+                                    options={"maxiter": MAX_ITER})
             if res.fun < best_f:
                 best_x, best_f = res.x, float(res.fun)
         return best_x if (best_x is not None and best_f < 1e299) else None
@@ -318,10 +299,10 @@ def fit(sites, opts: FitOptions | None = None) -> KrigingModel:
             return None
 
     candidates = []
-    base = searched_model(opts.nugget)
+    base = searched_model(0.0)
     if base is not None:
         candidates.append(base)
-    if opts.nugget == 0.0 and not np.any(intr > 0.0):
+    if not np.any(intr > 0.0):
         # With no noise diagonal the likelihood optimum can sit where the bare
         # correlation matrix is numerically singular (e.g. nearly coincident
         # sites), leaving the nugget-0 search stuck on a degenerate ridge. Fit
@@ -333,12 +314,9 @@ def fit(sites, opts: FitOptions | None = None) -> KrigingModel:
     if candidates:
         return max(candidates, key=lambda m: m.loglik)
 
-    last_error: Exception | None = None
-    for nugget in (NUGGET_LADDER if opts.nugget == 0.0 else ()):
+    for nugget in NUGGET_LADDER:
         model = searched_model(nugget)
         if model is not None:
             return model
-        last_error = KrigingFitError(
-            f"likelihood search failed at every start (nugget {nugget:g})")
-    raise SingularDesignError(
-        f"no usable covariance after nugget escalation: {last_error}")
+    raise SingularDesignError("no usable covariance after nugget escalation: likelihood "
+                              f"search failed at every start (nugget {NUGGET_LADDER[-1]:g})")

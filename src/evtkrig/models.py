@@ -24,6 +24,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.stats import norm
 
+from .evt_risk import _check_alpha
 from .rng import RngStream
 
 BENCHMARK_LOWER = (-math.pi, -math.pi)
@@ -48,13 +49,6 @@ def _check_point(p) -> tuple[float, float]:
     # are total on R^2 and the shared oracle arithmetic is exercised at a few
     # convenient points outside it, so coordinates are not range-checked.
     return float(p[0]), float(p[1])
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
 
 
 def _check_scenario(scenario: str) -> str:

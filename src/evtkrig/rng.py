@@ -26,10 +26,6 @@ class RngStream:
     seed: int
     key: tuple[int, ...] = ()
 
-    def child(self, *subkey: int) -> "RngStream":
-        """Derive a sub-stream by extending the key."""
-        return RngStream(self.seed, self.key + tuple(int(k) for k in subkey))
-
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.Generator(np.random.PCG64(seq))

@@ -80,6 +80,12 @@ class TestEstimate:
     def test_alpha_out_of_range(self, exp_losses_csv, capsys):
         assert run_cli("estimate", "--input", exp_losses_csv, "--alpha", "1.5") == 1
 
+    def test_only_first_column_is_read(self, tmp_path, capsys):
+        p = tmp_path / "labelled.csv"
+        p.write_text("loss,label\n" + "\n".join(f"{i}.0,run{i}" for i in range(1, 11)) + "\n")
+        assert run_cli("estimate", "--input", p, "--alpha", "0.8") == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(9.0)
+
 
 class TestDesign:
     def test_lhs_quartiles(self, capsys):
@@ -159,16 +165,73 @@ class TestPredict:
         pts.write_text("x1,x2\n0.0,1.0\n")
         assert run_cli("predict", "--model", p, "--points", pts) == 1
 
+    def test_empty_cell_is_not_dropped(self, tmp_path, capsys):
+        # A 3-column row with one empty cell must not be read as a 2-D point.
+        sites = [kg.DesignSite((0.0, 0.0), 1.0), kg.DesignSite((1.0, 1.0), 3.0)]
+        mp = tmp_path / "m.json"
+        mp.write_text(kg.assemble(sites, tau2=1.0, theta=[1.0, 1.0]).to_json())
+        pts = tmp_path / "p.csv"
+        pts.write_text("x1,x2,x3\n0.1,,0.3\n")
+        assert run_cli("predict", "--model", mp, "--points", pts) == 1
+        assert "empty cell on line 2" in capsys.readouterr().err
+
+
+SAN_CONFIG = {"version": 1, "scenarios": ["san"], "san_budgets": [1000],
+              "alphas": [0.99], "macro_replications": 1, "seed": 5,
+              "methods": ["POT-EVT", "EMP-EMP"]}
+BENCHMARK_CONFIG = {"version": 1, "scenarios": ["pareto"], "allocations": [1],
+                    "alphas": [0.99], "macro_replications": 1, "seed": 5}
+DROP = object()
+
+# One row per schema rule: (base config, changes, the key the error must name).
+BAD_CONFIGS = [
+    (SAN_CONFIG, {"typo_key": 1}, "typo_key"),
+    (SAN_CONFIG, {"version": 2}, "version"),
+    (SAN_CONFIG, {"version": True}, "version"),
+    (SAN_CONFIG, {"scenarios": "san"}, "scenarios"),
+    (SAN_CONFIG, {"scenarios": []}, "scenarios"),
+    (BENCHMARK_CONFIG, {"scenarios": ["mars"]}, "scenarios"),
+    (BENCHMARK_CONFIG, {"allocations": DROP}, "allocations"),
+    (BENCHMARK_CONFIG, {"allocations": []}, "allocations"),
+    (SAN_CONFIG, {"allocations": [1]}, "allocations"),
+    (BENCHMARK_CONFIG, {"allocations": [16]}, "allocations"),
+    (BENCHMARK_CONFIG, {"allocations": [True]}, "allocations"),
+    (BENCHMARK_CONFIG, {"allocations": [2.0]}, "allocations"),
+    (SAN_CONFIG, {"san_budgets": DROP}, "san_budgets"),
+    (SAN_CONFIG, {"san_budgets": 1000}, "san_budgets"),
+    (BENCHMARK_CONFIG, {"san_budgets": [1000]}, "san_budgets"),
+    (SAN_CONFIG, {"san_budgets": [99]}, "san_budgets"),
+    (SAN_CONFIG, {"alphas": [1.5]}, "alphas"),
+    (SAN_CONFIG, {"alphas": []}, "alphas"),
+    (SAN_CONFIG, {"alphas": 0.99}, "alphas"),
+    (SAN_CONFIG, {"macro_replications": 0}, "macro_replications"),
+    (SAN_CONFIG, {"macro_replications": True}, "macro_replications"),
+    (SAN_CONFIG, {"seed": -1}, "seed"),
+    (SAN_CONFIG, {"seed": False}, "seed"),
+    (SAN_CONFIG, {"seed": "7"}, "seed"),
+    (SAN_CONFIG, {"methods": ["KRIG-POT"]}, "methods"),
+    (SAN_CONFIG, {"methods": []}, "methods"),
+    (BENCHMARK_CONFIG, {"test_points": 1}, "test_points"),
+    (SAN_CONFIG, {"threshold_quantile": 1.0}, "threshold_quantile"),
+]
+
 
 class TestRun:
     @staticmethod
-    def write_config(path, **overrides):
-        cfg = {"version": 1, "scenarios": ["san"], "san_budgets": [1000],
-               "alphas": [0.99], "macro_replications": 1, "seed": 5,
-               "methods": ["POT-EVT", "EMP-EMP"]}
-        cfg.update(overrides)
-        path.write_text(json.dumps(cfg))
+    def write_config(path, base=SAN_CONFIG, **overrides):
+        cfg = dict(base, **overrides)
+        path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not DROP}))
         return path
+
+    @pytest.mark.parametrize("base, changes, key", BAD_CONFIGS, ids=[
+        " ".join(f"{k}={'absent' if v is DROP else json.dumps(v)}" for k, v in ch.items())
+        for _, ch, _ in BAD_CONFIGS])
+    def test_bad_config_names_key(self, base, changes, key, tmp_path, capsys):
+        cfg = self.write_config(tmp_path / "cfg.json", base, **changes)
+        out = tmp_path / "x"
+        assert run_cli("run", "--config", cfg, "--out-dir", out) == 1
+        assert f"  - {key}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_outputs_written(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json")
@@ -213,10 +276,7 @@ class TestRun:
 
     def test_unknown_allocation_id(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json", scenarios=["pareto"],
-                                san_budgets=None, allocations=[16])
-        cfg_data = json.loads(cfg.read_text())
-        del cfg_data["san_budgets"]
-        cfg.write_text(json.dumps(cfg_data))
+                                san_budgets=DROP, allocations=[16])
         rc = run_cli("run", "--config", cfg, "--out-dir", tmp_path / "x")
         assert rc == 1
 
@@ -229,6 +289,25 @@ class TestRun:
         err = capsys.readouterr().err
         for needle in ("typo_key", "version", "scenarios", "macro_replications"):
             assert needle in err
+
+    def test_violations_deduplicated_across_cells(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path / "cfg.json", san_budgets=[1000, 10000, 50],
+                                seed=-1)
+        assert run_cli("run", "--config", cfg, "--out-dir", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.count("  - seed: ") == 1
+        assert err.count("  - san_budgets: ") == 1
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-3")])
+    def test_threads_below_one_rejected(self, flag, env, tmp_path, capsys, monkeypatch):
+        cfg = self.write_config(tmp_path / "cfg.json")
+        args = ["run", "--config", cfg, "--out-dir", tmp_path / "x"]
+        if flag is not None:
+            args += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("EVTKRIG_THREADS", env)
+        assert run_cli(*args) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_threads_give_identical_output(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json", macro_replications=2)
@@ -246,8 +325,9 @@ class TestRun:
         assert {"benchmark-1e5.json", "benchmark-1e6.json", "benchmark-1e7.json",
                 "san.json", "smoke.json"} <= names
         for p in config_dir.glob("*.json"):
-            parsed = cli._load_config(str(p))
-            assert parsed["scenarios"]
+            cells = cli._load_config(str(p))
+            assert cells and all(c.scenario for c in cells)
         grid = cli._load_config(str(config_dir / "benchmark-1e5.json"))
-        assert grid["allocations"] == [1, 2, 3, 4, 5]
-        assert len(grid["scenarios"]) == 3 and len(grid["alphas"]) == 3
+        assert {c.allocation_id for c in grid} == {1, 2, 3, 4, 5}
+        assert len({c.scenario for c in grid}) == 3
+        assert all(len(c.alphas) == 3 for c in grid)

@@ -107,6 +107,24 @@ class TestExperimentConfig:
             hn.ExperimentConfig(scenario="san", san_budget=1000,
                                 macro_replications=0).validate()
 
+    def test_validation_lists_every_violation(self):
+        cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(1.2,),
+                                  macro_replications=True, seed=-1)
+        with pytest.raises(ValueError) as info:
+            cfg.validate()
+        assert sorted(name for name, _ in info.value.args) == [
+            "alphas", "macro_replications", "seed"]
+        for name in ("alphas", "macro_replications", "seed"):
+            assert f"  - {name}: " in str(info.value)
+
+    def test_allocation_by_catalog_id(self):
+        by_id = hn.ExperimentConfig(scenario="pareto", allocation=3)
+        by_id.validate()
+        assert by_id.allocation_label == allocation_by_id(3).label
+        for bad in (16, True, "3"):
+            with pytest.raises(ValueError, match="allocation"):
+                hn.ExperimentConfig(scenario="pareto", allocation=bad).validate()
+
 
 class TestRunExperiment:
     def test_oracle_responses_give_near_zero_mape(self):
@@ -152,6 +170,31 @@ class TestRunExperiment:
         r1 = hn.run_experiment(hn.ExperimentConfig(seed=1, **base))
         r2 = hn.run_experiment(hn.ExperimentConfig(seed=2, **base))
         assert r1[0].mape != r2[0].mape
+
+    def test_pool_has_at_most_one_worker_per_macro_rep(self, monkeypatch):
+        # Stands in for the process pool, so no worker process is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", RecordingPool)
+        cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(0.95,),
+                                  macro_replications=2, seed=9, methods=(hn.EMP_EMP,))
+        assert hn.run_experiment(cfg, threads=64) == hn.run_experiment(cfg)
+        assert sizes == [2]
+        with pytest.raises(ValueError, match="threads"):
+            hn.run_experiment(cfg, threads=0)
 
     def test_benchmark_scenario_smoke(self):
         cfg = hn.ExperimentConfig(scenario="triangular", allocation=allocation_by_id(1),
