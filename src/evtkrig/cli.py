@@ -257,7 +257,7 @@ def cmd_design(args) -> int:
     try:
         domain = Domain(lower, upper)
         if args.kind == "lhs":
-            pts = lhs(domain, args.count, RngStream(args.seed or 42))
+            pts = lhs(domain, args.count, RngStream(42 if args.seed is None else args.seed))
         else:
             pts = equally_spaced(domain, args.count)
     except ValueError as exc:
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except (ValidationFailure, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (evt_risk.RiskError, kriging.SingularDesignError, kriging.KrigingFitError,
+    except (evt_risk.RiskError, kriging.SingularDesignError,
             models.OracleConvergenceError) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL

@@ -205,7 +205,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every field; raise one :class:`ConfigError` listing each
-        violation. Integer fields reject ``bool``."""
+        violation. Integer fields reject ``bool``. The POT methods' floor on
+        ``alphas`` depends on other fields, so it is checked once they pass."""
         scenarios = models.NOISE_SCENARIOS + ("san",)
         rules = (
             ("scenario", self.scenario in scenarios, f"one of {scenarios}"),
@@ -235,6 +236,15 @@ class ExperimentConfig:
                     allocation_by_id(self.allocation)
                 except ValueError as exc:
                     problems.append(("allocation", str(exc)))
+        if not problems and {POT_EVT, POT_EMP} & set(self.resolved_methods()):
+            # fit_gpd's threshold: the ceil(q N)-th order statistic, lowered to
+            # leave MIN_EXCEEDANCES above it. POT covers only levels at or above it.
+            n = self.n_obs
+            level = min(math.ceil(self.threshold_quantile * n - 1e-9),
+                        n - evt_risk.MIN_EXCEEDANCES) / n
+            if min(self.alphas) < level:
+                problems.append(("alphas", f"must be >= {level:.6g}, the POT threshold "
+                                 f"level of {n} observations, got {self.alphas!r}"))
         if problems:
             raise ConfigError(*problems)
 
@@ -403,8 +413,7 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
                 records.append(ResultRecord(
                     config.scenario, config.allocation_label, config.allocation_id,
                     method, alpha, macro_rep, mape, diag))
-            except (evt_risk.RiskError, kriging.SingularDesignError,
-                    kriging.KrigingFitError, ValueError) as exc:
+            except (evt_risk.RiskError, kriging.SingularDesignError, ValueError) as exc:
                 msg = f"{type(exc).__name__}: {exc}".replace(";", ",")
                 records.append(ResultRecord(
                     config.scenario, config.allocation_label, config.allocation_id,

@@ -27,7 +27,6 @@ __all__ = [
     "DesignSite",
     "KrigingModel",
     "SingularDesignError",
-    "KrigingFitError",
     "kernel",
     "assemble",
     "log_likelihood",
@@ -49,10 +48,6 @@ MAX_ITER = 200
 
 class SingularDesignError(RuntimeError):
     """Covariance cannot be made positive definite (e.g. duplicate sites)."""
-
-
-class KrigingFitError(RuntimeError):
-    """Hyperparameter search failed to produce a usable model."""
 
 
 @dataclass(frozen=True)

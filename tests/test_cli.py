@@ -106,6 +106,17 @@ class TestDesign:
         assert vals[0] == 0.3 and vals[-1] == 2.0
         assert np.allclose(np.diff(vals), 1.7 / 6)
 
+    def test_seed_zero_is_its_own_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("EVTKRIG_SEED", raising=False)
+        outputs = {}
+        for seed in (None, 0, 42):
+            extra = () if seed is None else ("--seed", seed)
+            assert run_cli("design", "--lower", "0,0", "--upper", "1,1",
+                           "--count", "5", *extra) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert outputs[0] != outputs[42]
+        assert outputs[None] == outputs[42]
+
     def test_bad_bounds(self, capsys):
         assert run_cli("design", "--lower", "0,0", "--upper", "1", "--count", "3") == 1
 
@@ -213,6 +224,7 @@ BAD_CONFIGS = [
     (SAN_CONFIG, {"methods": []}, "methods"),
     (BENCHMARK_CONFIG, {"test_points": 1}, "test_points"),
     (SAN_CONFIG, {"threshold_quantile": 1.0}, "threshold_quantile"),
+    (SAN_CONFIG, {"alphas": [0.95], "threshold_quantile": 0.99}, "alphas"),
 ]
 
 

@@ -125,6 +125,30 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="allocation"):
                 hn.ExperimentConfig(scenario="pareto", allocation=bad).validate()
 
+    def test_alphas_below_pot_threshold_level_rejected(self):
+        # 1,000 observations at q = 0.99 leave 10 exceedances; fit_gpd lowers the
+        # threshold to keep 30, so the POT methods cover alpha >= 0.97 only.
+        base = dict(scenario="san", san_budget=1000, threshold_quantile=0.99,
+                    macro_replications=1, methods=(hn.POT_EVT, hn.EMP_EMP))
+        with pytest.raises(hn.ConfigError) as info:
+            hn.ExperimentConfig(alphas=(0.95,), **base).validate()
+        assert [name for name, _ in info.value.args] == ["alphas"]
+        assert ">= 0.97," in str(info.value)
+        hn.ExperimentConfig(alphas=(0.95,), **dict(base, methods=(hn.EMP_EMP,))).validate()
+        accepted = hn.ExperimentConfig(alphas=(0.98,), **base)
+        accepted.validate()
+        assert all(r.mape is not None for r in hn.run_experiment(accepted))
+
+    @pytest.mark.parametrize("n_obs", [100, 1000, 2000])
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.99])
+    def test_alpha_floor_is_fit_gpd_threshold_level(self, n_obs, q):
+        fit = er.fit_gpd(np.random.default_rng(n_obs).exponential(size=n_obs), q)
+        level = (n_obs - fit.n_exceed) / n_obs
+        cell = dict(scenario="san", san_budget=n_obs, threshold_quantile=q)
+        hn.ExperimentConfig(alphas=(level,), **cell).validate()
+        with pytest.raises(hn.ConfigError, match="alphas"):
+            hn.ExperimentConfig(alphas=(level - 1e-9,), **cell).validate()
+
 
 class TestRunExperiment:
     def test_oracle_responses_give_near_zero_mape(self):
