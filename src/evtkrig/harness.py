@@ -413,7 +413,7 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
                 records.append(ResultRecord(
                     config.scenario, config.allocation_label, config.allocation_id,
                     method, alpha, macro_rep, mape, diag))
-            except (evt_risk.RiskError, kriging.SingularDesignError, ValueError) as exc:
+            except (evt_risk.RiskError, kriging.SingularDesignError) as exc:
                 msg = f"{type(exc).__name__}: {exc}".replace(";", ",")
                 records.append(ResultRecord(
                     config.scenario, config.allocation_label, config.allocation_id,
@@ -425,9 +425,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     """Run every (method, alpha, macro-rep) cell of one experiment.
 
     All methods consume the same simulated observations within a
-    macro-replication, so method comparisons are paired. A failed fit
-    aborts only its own cell; the failure is recorded in the record's
-    diagnostics with ``mape`` left empty. Records come back sorted, so a
+    macro-replication, so method comparisons are paired. A numerical
+    failure (``RiskError`` or ``SingularDesignError``) aborts only its own
+    cell; it is recorded in the record's diagnostics with ``mape`` left
+    empty. Any other exception propagates. Records come back sorted, so a
     fixed seed yields identical output regardless of ``threads``. At most
     one worker process per macro-replication is started.
     """
@@ -531,11 +532,10 @@ def compare_methods(records, method_a: str = POT_EVT,
             continue
         a = [cell[method_a][m] for m in shared]
         b = [cell[method_b][m] for m in shared]
-        try:
-            p_le = wilcoxon_signed_rank(a, b, side="less")
-            p_ge = wilcoxon_signed_rank(a, b, side="greater")
-        except ValueError:
-            continue
+        if a == b:
+            continue  # every difference is zero: the signed-rank test is degenerate
+        p_le = wilcoxon_signed_rank(a, b, side="less")
+        p_ge = wilcoxon_signed_rank(a, b, side="greater")
         rows.append({"scenario": scenario, "allocation": allocation,
                      "allocation_id": alloc_id, "alpha": alpha,
                      "n_pairs": len(shared), "p_le": p_le, "p_ge": p_ge})
@@ -549,7 +549,7 @@ def compare_methods(records, method_a: str = POT_EVT,
 def _fmt(x) -> str:
     if x is None:
         return ""
-    return format(float(x), ".17g")
+    return repr(float(x))
 
 
 def write_results_csv(records, path) -> None:

@@ -12,6 +12,11 @@ form; predictions use the cached Cholesky factorization of
 
 With all intrinsic variances and nugget zero this reduces to an ordinary
 interpolating kriging model.
+
+``fit`` has one nugget rule for noisy and zero-noise designs: the nugget
+is 0 unless the fitted covariance cannot solve its own system
+Sigma w = Y - beta0 to a relative accuracy of ``SOLVE_RTOL``; the nugget
+then climbs ``NUGGET_LADDER`` until a fit passes that check.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
-# Nugget escalation ladder used when a zero-noise covariance fails to factor.
+# Nuggets tried in turn when the nugget-0 fit cannot solve its own system.
 NUGGET_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-# Jitter used for the alternative candidate fitted on all-zero-noise designs
-# whose likelihood optimum may be unreachable at nugget 0 (see fit()).
-NUGGET_FLOOR = 1e-8
+# A fit is usable when its weights reproduce the residuals Y - beta0 to this
+# fraction of their largest magnitude (see fit()).
+SOLVE_RTOL = 1e-8
 # Likelihood search: L-BFGS-B from N_STARTS Latin-hypercube starts drawn from
 # default_rng(START_SEED), at most MAX_ITER iterations each.
 N_STARTS = 10
@@ -74,11 +79,6 @@ def kernel(a, b, theta) -> float:
         raise ValueError("kernel rates must be positive")
     d = a - b
     return float(np.exp(-np.sum(theta * d * d)))
-
-
-def _correlation_matrix(locs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    diff = locs[:, None, :] - locs[None, :, :]
-    return np.exp(-np.einsum("ijk,k->ij", diff * diff, theta))
 
 
 def _cross_correlation(locs: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -163,10 +163,15 @@ class KrigingModel:
                         beta0=payload["beta0"], nugget=payload.get("nugget", 0.0))
 
 
-def _factorize(locs, intr, tau2, theta, nugget):
-    sigma = tau2 * (_correlation_matrix(locs, theta) + nugget * np.eye(len(locs)))
+def _covariance(locs, intr, tau2, theta, nugget):
+    sigma = tau2 * (_cross_correlation(locs, locs, theta) + nugget * np.eye(len(locs)))
     sigma[np.diag_indices_from(sigma)] += intr
-    return linalg.cho_factor(sigma, lower=True, check_finite=False)
+    return sigma
+
+
+def _factorize(locs, intr, tau2, theta, nugget):
+    return linalg.cho_factor(_covariance(locs, intr, tau2, theta, nugget),
+                             lower=True, check_finite=False)
 
 
 def _profile_pieces(chol, resp, beta0=None):
@@ -190,13 +195,7 @@ def log_likelihood(sites, tau2: float, theta, nugget: float = 0.0,
     With ``beta0=None`` the trend constant is profiled out in closed form:
     beta0 = (1' Sigma^-1 Y) / (1' Sigma^-1 1).
     """
-    locs, resp, intr = _site_arrays(sites)
-    theta = np.asarray(theta, dtype=float)
-    try:
-        chol = _factorize(locs, intr, float(tau2), theta, float(nugget))
-    except linalg.LinAlgError as exc:
-        raise SingularDesignError(f"covariance not positive definite: {exc}")
-    return _profile_pieces(chol, resp, beta0)[2]
+    return assemble(sites, tau2, theta, beta0=beta0, nugget=nugget).loglik
 
 
 def assemble(sites, tau2: float, theta, beta0: float | None = None,
@@ -240,13 +239,15 @@ def fit(sites) -> KrigingModel:
     """Fit hyperparameters by profile-likelihood maximization.
 
     The search runs L-BFGS-B over (log tau^2, log theta) from ``N_STARTS``
-    Latin-hypercube start points in the bound box, at nugget 0.
-    All-zero-noise designs additionally fit a jittered candidate
-    (nugget 1e-8) because their likelihood optimum may be
-    unreachable at nugget 0; the higher-likelihood candidate wins, with
-    ties going to the exact-interpolation model. If neither search yields
-    a usable covariance, the nugget escalates through 1e-12 .. 1e-6. The
-    nugget actually used is recorded on the model.
+    Latin-hypercube start points in the bound box. One nugget rule holds
+    for noisy and zero-noise designs alike: search at nugget 0 first, then
+    at each nugget of ``NUGGET_LADDER`` in turn, and return the first model
+    whose covariance factors and solves its own system,
+    max|Sigma w - (Y - beta0)| <= ``SOLVE_RTOL`` * max|Y - beta0|. A
+    Cholesky factor of a nearly singular covariance (e.g. nearly coincident
+    zero-noise sites) can exist and still give weights that do not
+    reproduce the data; the solve check rejects it. The nugget actually
+    used is recorded on the model.
     """
     sites = list(sites)
     locs, resp, intr = _site_arrays(sites)
@@ -265,53 +266,31 @@ def fit(sites) -> KrigingModel:
     rng = np.random.default_rng(START_SEED)
     starts = lo + _lhs_unit(N_STARTS, lo.size, rng) * (hi - lo)
 
-    def search(nugget: float):
-        def negll(params: np.ndarray) -> float:
-            try:
-                chol = _factorize(locs, intr, math.exp(params[0]),
-                                  np.exp(params[1:]), nugget)
-            except linalg.LinAlgError:
-                return 1e300
-            return -_profile_pieces(chol, resp)[2]
+    def negll(params: np.ndarray, nugget: float) -> float:
+        try:
+            chol = _factorize(locs, intr, math.exp(params[0]), np.exp(params[1:]), nugget)
+        except linalg.LinAlgError:
+            return 1e300
+        return -_profile_pieces(chol, resp)[2]
 
+    for nugget in (0.0, *NUGGET_LADDER):
         best_x, best_f = None, math.inf
         for x0 in starts:
-            res = optimize.minimize(negll, x0, method="L-BFGS-B",
+            res = optimize.minimize(negll, x0, args=(nugget,), method="L-BFGS-B",
                                     bounds=list(zip(lo, hi)),
                                     options={"maxiter": MAX_ITER})
             if res.fun < best_f:
                 best_x, best_f = res.x, float(res.fun)
-        return best_x if (best_x is not None and best_f < 1e299) else None
-
-    def searched_model(nugget: float) -> KrigingModel | None:
-        best = search(nugget)
-        if best is None:
-            return None
+        if best_x is None or best_f >= 1e299:
+            continue
         try:
-            return assemble(sites, tau2=math.exp(best[0]), theta=np.exp(best[1:]),
-                            nugget=nugget)
+            model = assemble(sites, tau2=math.exp(best_x[0]), theta=np.exp(best_x[1:]),
+                             nugget=nugget)
         except SingularDesignError:
-            return None
-
-    candidates = []
-    base = searched_model(0.0)
-    if base is not None:
-        candidates.append(base)
-    if not np.any(intr > 0.0):
-        # With no noise diagonal the likelihood optimum can sit where the bare
-        # correlation matrix is numerically singular (e.g. nearly coincident
-        # sites), leaving the nugget-0 search stuck on a degenerate ridge. Fit
-        # a second candidate at a fixed small jitter and keep the one with the
-        # higher likelihood; exact ties go to the exact-interpolation model.
-        jittered = searched_model(NUGGET_FLOOR)
-        if jittered is not None:
-            candidates.append(jittered)
-    if candidates:
-        return max(candidates, key=lambda m: m.loglik)
-
-    for nugget in NUGGET_LADDER:
-        model = searched_model(nugget)
-        if model is not None:
+            continue
+        sigma = _covariance(locs, intr, model.tau2, model.theta, nugget)
+        resid = resp - model.beta0
+        if np.abs(sigma @ model._weights - resid).max() <= SOLVE_RTOL * np.abs(resid).max():
             return model
     raise SingularDesignError("no usable covariance after nugget escalation: likelihood "
                               f"search failed at every start (nugget {NUGGET_LADDER[-1]:g})")

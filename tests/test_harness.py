@@ -220,6 +220,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="threads"):
             hn.run_experiment(cfg, threads=0)
 
+    def test_program_error_is_not_a_failed_cell(self, monkeypatch):
+        # Only numerical failures become failed records; a ValueError is a bug.
+        def broken(*args, **kwargs):
+            raise ValueError("bug in estimate_site")
+
+        monkeypatch.setattr(hn, "estimate_site", broken)
+        cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(0.95,),
+                                  macro_replications=1, seed=9, methods=(hn.EMP_EMP,))
+        with pytest.raises(ValueError, match="bug in estimate_site"):
+            hn.run_experiment(cfg, threads=1)
+
     def test_benchmark_scenario_smoke(self):
         cfg = hn.ExperimentConfig(scenario="triangular", allocation=allocation_by_id(1),
                                   alphas=(0.95,), macro_replications=1, seed=5,
@@ -305,6 +316,17 @@ class TestWilcoxon:
         assert rows[0]["p_le"] == pytest.approx(1 / 64, rel=1e-12)
         assert rows[0]["p_ge"] == 1.0
 
+    def test_compare_methods_skips_identical_cell(self):
+        records = []
+        for alpha, gap in ((0.95, 0.0), (0.99, 1.0)):
+            for m in (hn.POT_EVT, hn.EMP_EMP):
+                for rep in range(6):
+                    mape = 1.0 + 0.01 * rep + (gap if m == hn.EMP_EMP else 0.0)
+                    records.append(hn.ResultRecord("pareto", "50-1-2000", 3, m, alpha,
+                                                   rep, mape, ""))
+        rows = hn.compare_methods(records)
+        assert [r["alpha"] for r in rows] == [0.99]
+
 
 class TestCsvWriters:
     def test_round_trip_layout(self, tmp_path):
@@ -337,3 +359,16 @@ class TestCsvWriters:
         assert len(rows) == 2
         assert len(rows[1]) == len(rows[0]) == 8
         assert rows[1][-1] == "data=00;error=RiskError: need 60, got 50"
+
+    def test_floats_written_shortest_and_exact(self, tmp_path):
+        import csv as csv_mod
+
+        mapes = [1.0 / 3.0, 12.345678901234567, 1e-17, 2.0**0.5 * 1e6]
+        records = [hn.ResultRecord("san", "7-1-1000", 1000, hn.POT_EVT, alpha, rep,
+                                   mape, "") for alpha in (0.95, 0.99)
+                   for rep, mape in enumerate(mapes)]
+        hn.write_results_csv(records, tmp_path / "results.csv")
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv_mod.reader(fh))[1:]
+        assert {row[4] for row in rows} == {"0.95", "0.99"}
+        assert sorted(float(row[6]) for row in rows) == sorted(mapes * 2)

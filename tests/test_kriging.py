@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtkrig import kriging as kg
 
@@ -11,6 +12,16 @@ from evtkrig import kriging as kg
 def sine_sites(k=20):
     x = np.linspace(0, 2 * np.pi, k)
     return [kg.DesignSite((float(xi),), float(np.sin(xi))) for xi in x], x
+
+
+def solve_residual(model):
+    """max|Sigma w - (Y - beta0)| / max|Y - beta0| from a dense covariance."""
+    diff = model.locations[:, None, :] - model.locations[None, :, :]
+    corr = np.exp(-np.einsum("ijk,k->ij", diff**2, model.theta))
+    sigma = (model.tau2 * (corr + model.nugget * np.eye(model.k))
+             + np.diag(model.intrinsic))
+    resid = model.responses - model.beta0
+    return np.abs(sigma @ model._weights - resid).max() / np.abs(resid).max()
 
 
 class TestKernel:
@@ -42,15 +53,29 @@ class TestFit:
         sites, x = sine_sites(20)
         model = kg.fit(sites)
         assert model.nugget == 0.0
+        assert solve_residual(model) <= kg.SOLVE_RTOL
         for xi in x:
             assert model.predict((float(xi),))[0] == pytest.approx(
                 np.sin(xi), abs=1e-8)
 
     def test_constant_responses(self):
         model = kg.fit([kg.DesignSite((0.0,), 2.5), kg.DesignSite((1.0,), 2.5)])
+        assert model.nugget == 0.0
         assert model.beta0 == pytest.approx(2.5, rel=1e-9)
         for x0 in (0.2, 0.5, 0.9):
             assert model.predict((x0,))[0] == pytest.approx(2.5, rel=1e-9)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-7])
+    def test_nearly_coincident_noiseless_sites_climb_the_ladder(self, gap):
+        # At nugget 0 the covariance of these sites still factors, but its
+        # weights do not reproduce the data; the fit must take a ladder nugget.
+        sites = [kg.DesignSite((0.0,), 1.0), kg.DesignSite((gap,), 2.0),
+                 kg.DesignSite((1.0,), 0.5)]
+        model = kg.fit(sites)
+        assert model.nugget in kg.NUGGET_LADDER
+        assert solve_residual(model) <= kg.SOLVE_RTOL
+        at_zero = kg.assemble(sites, tau2=model.tau2, theta=model.theta)
+        assert solve_residual(at_zero) > kg.SOLVE_RTOL
 
     def test_grf_hyperparameter_recovery(self):
         # Draw from the model itself (known tau2=1, theta=4) with a small
@@ -179,6 +204,67 @@ class TestLikelihood:
         for delta in (-1e-3, 1e-3):
             assert kg.log_likelihood(sites, 1.0, [1.5],
                                      beta0=model.beta0 + delta) <= best
+
+    @pytest.mark.parametrize("tau2, theta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
+                                             (1.0, -2.0)])
+    def test_nonpositive_hyperparameters_rejected(self, tau2, theta):
+        sites = [kg.DesignSite((0.0,), 1.0, 0.2), kg.DesignSite((1.0,), 3.0, 0.2)]
+        with pytest.raises(ValueError):
+            kg.log_likelihood(sites, tau2, [theta])
+
+
+def noisy_designs():
+    """Sites, fixed hyperparameters and query points of random noisy designs.
+
+    Every intrinsic variance is at least 1e-3 * tau2, so the covariance stays
+    well conditioned and a 1e-9 tolerance measures rounding only.
+    """
+    def build(args):
+        k, d, seed = args
+        rng = np.random.default_rng(seed)
+        tau2 = float(10.0 ** rng.uniform(-1.0, 1.0))
+        theta = 10.0 ** rng.uniform(-1.0, 1.0, size=d)
+        y = rng.normal(0.0, 3.0, size=k)
+        noise = tau2 * 10.0 ** rng.uniform(-3.0, 0.0, size=k)
+        sites = [kg.DesignSite(tuple(map(float, loc)), float(v), float(n))
+                 for loc, v, n in zip(rng.random((k, d)), y, noise)]
+        return sites, tau2, theta, rng.random((6, d))
+
+    return st.tuples(st.integers(2, 12), st.integers(1, 3),
+                     st.integers(0, 2**32 - 1)).map(build)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestAssembleProperties:
+    @PROPERTY_SETTINGS
+    @given(design=noisy_designs(), seed=st.integers(0, 2**32 - 1))
+    def test_site_permutation_invariance(self, design, seed):
+        sites, tau2, theta, query = design
+        perm = np.random.default_rng(seed).permutation(len(sites))
+        model = kg.assemble(sites, tau2, theta)
+        shuffled = kg.assemble([sites[i] for i in perm], tau2, theta)
+        assert shuffled.loglik == pytest.approx(model.loglik, rel=1e-9)
+        assert shuffled.beta0 == pytest.approx(model.beta0, rel=1e-9, abs=1e-12)
+        (mean, sd), (s_mean, s_sd) = model.predict_many(query), shuffled.predict_many(query)
+        np.testing.assert_allclose(s_mean, mean, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(s_sd, sd, rtol=1e-9, atol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(design=noisy_designs(), c=st.floats(-100.0, 100.0))
+    def test_response_shift_moves_only_the_trend(self, design, c):
+        sites, tau2, theta, query = design
+        shifted_sites = [kg.DesignSite(s.location, s.response + c, s.intrinsic_variance)
+                         for s in sites]
+        model = kg.assemble(sites, tau2, theta)
+        shifted = kg.assemble(shifted_sites, tau2, theta)
+        atol = 1e-12 * (1.0 + abs(c))
+        assert shifted.beta0 == pytest.approx(model.beta0 + c, rel=1e-9, abs=atol)
+        assert shifted.loglik == pytest.approx(model.loglik, rel=1e-9)
+        (mean, sd), (s_mean, s_sd) = model.predict_many(query), shifted.predict_many(query)
+        np.testing.assert_allclose(s_mean, mean + c, rtol=1e-9, atol=atol)
+        np.testing.assert_allclose(s_sd, sd, rtol=1e-9, atol=1e-12)
 
 
 class TestSerialization:
