@@ -228,7 +228,7 @@ def cmd_predict(args) -> int:
         model = kriging.KrigingModel.from_json(Path(args.model).read_text())
     except OSError as exc:
         raise ValidationFailure(f"cannot read model {args.model}: {exc}")
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValidationFailure(f"bad model file {args.model}: {exc}")
     points = read_csv(args.points)
     if points.shape[1] != model.dim:

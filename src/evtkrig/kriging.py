@@ -10,6 +10,11 @@ form; predictions use the cached Cholesky factorization of
 
     Sigma = tau^2 (R(theta) + nugget * I) + diag(intrinsic variances).
 
+The likelihood search runs L-BFGS-B over psi = (log tau^2, log theta)
+with the analytic gradient 1/2 tr((alpha alpha' - Sigma^-1) dSigma/dpsi),
+alpha = Sigma^-1 (Y - beta0) (Rasmussen & Williams 2006, sec. 5.4.1); as
+beta0 is profiled out, the gradient at fixed beta0 is exact.
+
 With all intrinsic variances and nugget zero this reduces to an ordinary
 interpolating kriging model.
 
@@ -81,9 +86,14 @@ def kernel(a, b, theta) -> float:
     return float(np.exp(-np.sum(theta * d * d)))
 
 
-def _cross_correlation(locs: np.ndarray, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _squared_differences(x: np.ndarray, locs: np.ndarray) -> np.ndarray:
+    """(x_i - locs_j)^2 per coordinate, shape (m, k, d)."""
     diff = x[:, None, :] - locs[None, :, :]
-    return np.exp(-np.einsum("ijk,k->ij", diff * diff, theta))
+    return diff * diff
+
+
+def _correlation(sqdiff: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return np.exp(-np.einsum("ijk,k->ij", sqdiff, theta))
 
 
 def _site_arrays(sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,7 +135,8 @@ class KrigingModel:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dim:
             raise ValueError(f"query dimension {x.shape[1]} != design dimension {self.dim}")
-        cross = self.tau2 * _cross_correlation(self.locations, x, self.theta)
+        cross = self.tau2 * _correlation(_squared_differences(x, self.locations),
+                                         self.theta)
         mean = self.beta0 + cross @ self._weights
         solved = linalg.cho_solve(self._chol, cross.T, check_finite=False)
         var = self.tau2 - np.einsum("ij,ji->i", cross, solved)
@@ -152,26 +163,45 @@ class KrigingModel:
 
     @classmethod
     def from_json(cls, text: str) -> "KrigingModel":
+        """Rebuild a model written by ``to_json``; ValueError on a malformed payload."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("model must be a JSON object")
         version = payload.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
-        sites = [DesignSite(tuple(s["location"]), s["response"],
-                            s.get("intrinsic_variance", 0.0))
-                 for s in payload["sites"]]
-        return assemble(sites, tau2=payload["tau2"], theta=payload["theta"],
-                        beta0=payload["beta0"], nugget=payload.get("nugget", 0.0))
+        sites = payload.get("sites")
+        if not isinstance(sites, list) or not all(isinstance(s, dict) for s in sites):
+            raise ValueError("sites must be a list of site objects")
+        sites = [DesignSite(tuple(_numbers(s.get("location"), "site location")),
+                            _number(s.get("response"), "site response"),
+                            _number(s.get("intrinsic_variance", 0.0),
+                                    "site intrinsic_variance"))
+                 for s in sites]
+        return assemble(sites, tau2=_number(payload.get("tau2"), "tau2"),
+                        theta=_numbers(payload.get("theta"), "theta"),
+                        beta0=_number(payload.get("beta0"), "beta0"),
+                        nugget=_number(payload.get("nugget", 0.0), "nugget"))
 
 
-def _covariance(locs, intr, tau2, theta, nugget):
-    sigma = tau2 * (_cross_correlation(locs, locs, theta) + nugget * np.eye(len(locs)))
+def _number(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is a finite JSON number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _numbers(values, name: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return [_number(v, name) for v in values]
+
+
+def _covariance(sqdiff, intr, tau2, theta, nugget):
+    """Sigma from the sites' squared differences (see _squared_differences)."""
+    sigma = tau2 * (_correlation(sqdiff, theta) + nugget * np.eye(len(intr)))
     sigma[np.diag_indices_from(sigma)] += intr
     return sigma
-
-
-def _factorize(locs, intr, tau2, theta, nugget):
-    return linalg.cho_factor(_covariance(locs, intr, tau2, theta, nugget),
-                             lower=True, check_finite=False)
 
 
 def _profile_pieces(chol, resp, beta0=None):
@@ -207,14 +237,42 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
         raise ValueError("theta dimension must match the location dimension")
     if np.any(theta <= 0.0) or tau2 <= 0.0:
         raise ValueError("tau2 and every theta must be positive")
+    sigma = _covariance(_squared_differences(locs, locs), intr, float(tau2), theta,
+                        float(nugget))
     try:
-        chol = _factorize(locs, intr, float(tau2), theta, float(nugget))
+        chol = linalg.cho_factor(sigma, lower=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularDesignError(f"covariance not positive definite: {exc}")
     beta0, weights, ll = _profile_pieces(chol, resp, beta0)
     return KrigingModel(beta0=beta0, tau2=float(tau2), theta=theta,
                         locations=locs, responses=resp, intrinsic=intr,
                         nugget=float(nugget), loglik=ll, _chol=chol, _weights=weights)
+
+
+def _neg_profile_loglik(params, sqdiff, resp, intr, nugget) -> tuple[float, np.ndarray]:
+    """Negative profile log-likelihood at params = (log tau^2, log theta) and its
+    gradient; (1e300, 0) when the covariance does not factor.
+
+    With W = alpha alpha' - Sigma^-1, the log-likelihood gradient is
+    1/2 tr(W dSigma/dpsi), where dSigma/dlog tau^2 = tau^2 (R + nugget I) and
+    dSigma/dlog theta_j = -theta_j tau^2 R o D_j (D_j: squared differences in
+    coordinate j). Off the diagonal tau^2 R equals Sigma; on it, tau^2 (1 + nugget).
+    """
+    tau2, theta = math.exp(params[0]), np.exp(params[1:])
+    sigma = _covariance(sqdiff, intr, tau2, theta, nugget)
+    try:
+        chol = linalg.cho_factor(sigma, lower=True, check_finite=False)
+    except linalg.LinAlgError:
+        return 1e300, np.zeros_like(params)
+    _, alpha, ll = _profile_pieces(chol, resp)
+    w = np.outer(alpha, alpha) - linalg.cho_solve(chol, np.eye(len(resp)),
+                                                  check_finite=False)
+    off = w * sigma
+    np.fill_diagonal(off, 0.0)
+    grad = np.empty_like(params)
+    grad[0] = -0.5 * (off.sum() + tau2 * (1.0 + nugget) * np.trace(w))
+    grad[1:] = 0.5 * theta * np.einsum("ij,ijk->k", off, sqdiff)
+    return -ll, grad
 
 
 def _search_box(locs: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,14 +297,15 @@ def fit(sites) -> KrigingModel:
     """Fit hyperparameters by profile-likelihood maximization.
 
     The search runs L-BFGS-B over (log tau^2, log theta) from ``N_STARTS``
-    Latin-hypercube start points in the bound box. One nugget rule holds
-    for noisy and zero-noise designs alike: search at nugget 0 first, then
-    at each nugget of ``NUGGET_LADDER`` in turn, and return the first model
-    whose covariance factors and solves its own system,
-    max|Sigma w - (Y - beta0)| <= ``SOLVE_RTOL`` * max|Y - beta0|. A
-    Cholesky factor of a nearly singular covariance (e.g. nearly coincident
-    zero-noise sites) can exist and still give weights that do not
-    reproduce the data; the solve check rejects it. The nugget actually
+    Latin-hypercube start points in the bound box, with the analytic
+    gradient of the profile log-likelihood (``_neg_profile_loglik``). One
+    nugget rule holds for noisy and zero-noise designs alike: search at
+    nugget 0 first, then at each nugget of ``NUGGET_LADDER`` in turn, and
+    return the first model whose covariance factors and solves its own
+    system, max|Sigma w - (Y - beta0)| <= ``SOLVE_RTOL`` * max|Y - beta0|.
+    A Cholesky factor of a nearly singular covariance (e.g. nearly
+    coincident zero-noise sites) can exist and still give weights that do
+    not reproduce the data; the solve check rejects it. The nugget actually
     used is recorded on the model.
     """
     sites = list(sites)
@@ -266,17 +325,12 @@ def fit(sites) -> KrigingModel:
     rng = np.random.default_rng(START_SEED)
     starts = lo + _lhs_unit(N_STARTS, lo.size, rng) * (hi - lo)
 
-    def negll(params: np.ndarray, nugget: float) -> float:
-        try:
-            chol = _factorize(locs, intr, math.exp(params[0]), np.exp(params[1:]), nugget)
-        except linalg.LinAlgError:
-            return 1e300
-        return -_profile_pieces(chol, resp)[2]
-
+    sqdiff = _squared_differences(locs, locs)
     for nugget in (0.0, *NUGGET_LADDER):
         best_x, best_f = None, math.inf
         for x0 in starts:
-            res = optimize.minimize(negll, x0, args=(nugget,), method="L-BFGS-B",
+            res = optimize.minimize(_neg_profile_loglik, x0, jac=True,
+                                    args=(sqdiff, resp, intr, nugget), method="L-BFGS-B",
                                     bounds=list(zip(lo, hi)),
                                     options={"maxiter": MAX_ITER})
             if res.fun < best_f:
@@ -288,7 +342,7 @@ def fit(sites) -> KrigingModel:
                              nugget=nugget)
         except SingularDesignError:
             continue
-        sigma = _covariance(locs, intr, model.tau2, model.theta, nugget)
+        sigma = _covariance(sqdiff, intr, model.tau2, model.theta, nugget)
         resid = resp - model.beta0
         if np.abs(sigma @ model._weights - resid).max() <= SOLVE_RTOL * np.abs(resid).max():
             return model

@@ -176,6 +176,33 @@ class TestPredict:
         pts.write_text("x1,x2\n0.0,1.0\n")
         assert run_cli("predict", "--model", p, "--points", pts) == 1
 
+    @pytest.mark.parametrize("change", [
+        [],
+        {"sites": None},
+        {"sites": [1]},
+        {"sites": [{"location": "ab", "response": 1.0}]},
+        {"sites": [{"location": [0.0], "response": None}]},
+        {"tau2": "x"},
+        {"tau2": None},
+        {"theta": 1.0},
+        {"theta": ["x"]},
+        {"beta0": None},
+        {"beta0": float("nan")},
+        {"nugget": "0"},
+    ])
+    def test_malformed_model_is_a_validation_error(self, model_file, tmp_path, capsys,
+                                                    change):
+        p, _ = model_file
+        payload = change if isinstance(change, list) else {
+            **json.loads(p.read_text()), **change}
+        p.write_text(json.dumps(payload))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1\n0.5\n")
+        assert run_cli("predict", "--model", p, "--points", pts) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad model file {p}: ")
+        assert "Traceback" not in err
+
     def test_empty_cell_is_not_dropped(self, tmp_path, capsys):
         # A 3-column row with one empty cell must not be read as a 2-D point.
         sites = [kg.DesignSite((0.0, 0.0), 1.0), kg.DesignSite((1.0, 1.0), 3.0)]

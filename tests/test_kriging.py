@@ -267,6 +267,38 @@ class TestAssembleProperties:
         np.testing.assert_allclose(s_sd, sd, rtol=1e-9, atol=1e-12)
 
 
+class TestLikelihoodGradient:
+    """The search objective returns the exact gradient of the profile likelihood."""
+
+    @PROPERTY_SETTINGS
+    @given(design=noisy_designs(), nugget=st.sampled_from((0.0, *kg.NUGGET_LADDER)))
+    def test_gradient_matches_central_differences(self, design, nugget):
+        sites, tau2, theta, _ = design
+        locs, resp, intr = kg._site_arrays(sites)
+        psi = np.log(np.concatenate(([tau2], theta)))
+        value, grad = kg._neg_profile_loglik(psi, kg._squared_differences(locs, locs),
+                                             resp, intr, nugget)
+
+        def loglik(p):
+            return kg.log_likelihood(sites, math.exp(p[0]), np.exp(p[1:]), nugget=nugget)
+
+        assert value == pytest.approx(-loglik(psi), rel=1e-12)
+        h = 1e-4
+        central = np.array([(loglik(psi + h * e) - loglik(psi - h * e)) / (2.0 * h)
+                            for e in np.eye(psi.size)])
+        assert np.abs(grad + central).max() <= 1e-6 * np.abs(grad).max()
+
+    def test_unfactorable_covariance(self):
+        # Duplicate zero-noise sites at tau2 = 1: Sigma is exactly singular.
+        sites = [kg.DesignSite((1.0,), 2.0), kg.DesignSite((1.0,), 3.0),
+                 kg.DesignSite((2.0,), 4.0)]
+        locs, resp, intr = kg._site_arrays(sites)
+        value, grad = kg._neg_profile_loglik(np.zeros(2), kg._squared_differences(locs, locs),
+                                             resp, intr, 0.0)
+        assert value == 1e300
+        assert grad.shape == (2,) and np.all(np.isfinite(grad))
+
+
 class TestSerialization:
     def test_round_trip(self):
         sites = [kg.DesignSite((0.0, 1.0), 1.0, 0.1), kg.DesignSite((1.0, 0.5), 3.0, 0.2),
