@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evt_risk, harness, kriging, models
+from . import evt_risk, harness, kriging
 from .design import Domain, equally_spaced, lhs
 from .harness import _fmt
 from .rng import RngStream
@@ -329,8 +329,7 @@ def main(argv=None) -> int:
     except (ValidationFailure, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (evt_risk.RiskError, kriging.SingularDesignError,
-            models.OracleConvergenceError) as exc:
+    except (evt_risk.RiskError, kriging.SingularDesignError) as exc:
         sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -21,7 +21,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Domain:
-    """A rectangular domain with componentwise lower < upper bounds."""
+    """A rectangular domain with finite componentwise lower < upper bounds."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -30,8 +30,10 @@ class Domain:
         lo, hi = np.asarray(self.lower, float), np.asarray(self.upper, float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower/upper must be 1-D and equal length")
-        if not np.all(lo < hi):
-            raise ValueError("domain requires lower < upper componentwise")
+        with np.errstate(all="ignore"):  # a non-finite bound gives a non-finite width
+            width = hi - lo
+        if not np.all(np.isfinite(width) & (width > 0.0)):
+            raise ValueError("domain bounds must be finite with lower < upper and a finite width")
 
     @property
     def dim(self) -> int:

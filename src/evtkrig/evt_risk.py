@@ -158,10 +158,10 @@ def as_sample(values) -> np.ndarray:
     return x
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float, name: str = "alpha") -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"{name} must lie in (0, 1), got {alpha}")
     return alpha
 
 
@@ -460,7 +460,7 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
     are rejected outright.
     """
     x = as_sample(sample)
-    threshold_quantile = _check_alpha(threshold_quantile)
+    threshold_quantile = _check_alpha(threshold_quantile, "threshold_quantile")
     n = x.size
     if n < 2 * MIN_EXCEEDANCES:
         raise InsufficientDataError(

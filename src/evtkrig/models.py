@@ -8,8 +8,8 @@ Two models are provided:
   analytic closed form for the true conditional value-at-risk; and
 * a five-activity stochastic activity network whose completion time is
   ``L(x) = max(T1+T2, T1+T3(x), T4+T5)`` with exponential activity
-  durations, where the true CVaR is obtained numerically from the exact
-  completion-time CDF.
+  durations, whose completion-time CDF and tail integral, and hence its
+  true CVaR, are exact closed forms.
 
 CVaR here always means the upper-tail conditional expectation at level
 ``alpha``: the mean of outcomes beyond the ``alpha`` quantile.
@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.stats import norm
 
 from .evt_risk import _check_alpha
@@ -36,12 +36,6 @@ NOISE_SCENARIOS = ("normal", "triangular", "pareto")
 
 # Pareto noise family: shape a = 2, scale 2 + sqrt(x1^2 + x2^2).
 PARETO_SHAPE = 2.0
-
-_SAN_SURVIVAL_FLOOR = 1e-14
-
-
-class OracleConvergenceError(RuntimeError):
-    """Numeric oracle (root find / quadrature) failed to converge."""
 
 
 def _check_point(p) -> tuple[float, float]:
@@ -153,77 +147,81 @@ def san_simulate(x: float, count: int, rng: RngStream) -> np.ndarray:
     return np.maximum.reduce([t[0] + t[1], t[0] + t[2], t[3] + t[4]])
 
 
+def _exp_gap(z: float, rate: float, gap: float) -> float:
+    """(e^(-rate z) - e^(-(rate+gap) z)) / gap for z >= 0; exact as gap -> 0 and,
+    taken at the smaller rate, free of overflow."""
+    g = abs(gap)
+    return math.exp(-min(rate, rate + gap) * z) * (z if g == 0.0 else -math.expm1(-g * z) / g)
+
+
+def _moment(k: int, rate: float, q: float, gap: float | None = None) -> float:
+    """int_q^inf t^k e^(-rate t) dt = e^(-rate q) sum_j c_j rate^-(j+1), k <= 2, or,
+    given ``gap``, its divided difference in the rate by the product rule:
+    ``_exp_gap`` for the exponential and (r^-m - s^-m) / (s - r) =
+    sum_i r^-i s^-(m-1-i) / (r s) for each power, with s = rate + gap."""
+    coeffs = ((1.0,), (q, 1.0), (q * q, 2.0 * q, 2.0))[k]
+    r, e_r = rate, math.exp(-rate * q)
+    if gap is None:
+        return e_r * sum(c / r ** (j + 1) for j, c in enumerate(coeffs))
+    s, e_gap = r + gap, _exp_gap(q, r, gap)
+    return sum(c * (e_r * sum(r ** -i * s ** (i - j) for i in range(j + 1)) / (r * s)
+                    + e_gap / s ** (j + 1)) for j, c in enumerate(coeffs))
+
+
 def san_cdf(t: float, x: float) -> float:
-    """Exact CDF of the completion time L(x).
+    """Exact CDF of L(x): F = J E with, for a = 1 - 1/x,
 
-    The two paths through T1 are handled jointly by conditioning on T1:
+        J(t) = P(T1+T2 <= t, T1+T3 <= t)   (conditioning on T1)
+             = 1 - e^-t - t e^-t - e^-t expm1(a t)/a + x e^-t (1 - e^(-t/x)),
+        E(t) = P(T4+T5 <= t) = 1 - (1+t) e^-t,
 
-        P(T1+T2 <= t, T1+T3 <= t)
-            = int_0^t exp(-s) (1 - exp(-(t-s))) (1 - exp(-(t-s)/x)) ds,
-
-    and the third path is independent with P(T4+T5 <= t) = 1 - (1+t)e^-t.
+    where expm1(a t)/a -> t as a -> 0. Below t of about 1e-4 (F < 1e-20) the
+    rounding of J's leading 1 can leave F slightly negative; 0 is returned.
     """
     x = _check_san_param(x)
     t = float(t)
     if t <= 0.0:
         return 0.0
-
-    def integrand(s: float) -> float:
-        r = t - s
-        return math.exp(-s) * (-math.expm1(-r)) * (-math.expm1(-r / x))
-
-    joint, _ = integrate.quad(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-10, limit=200)
-    erlang = 1.0 - (1.0 + t) * math.exp(-t)
-    return joint * erlang
+    if t == math.inf:
+        return 1.0
+    e = math.exp(-t)
+    joint = (1.0 - e * (1.0 + t - x) - x * math.exp(-t * (1.0 + 1.0 / x))
+             - _exp_gap(t, 1.0 / x, 1.0 - 1.0 / x))
+    return max(0.0, joint * (-math.expm1(-t) - t * e))
 
 
-def _san_upper_bound(x: float, start: float) -> float:
-    """Smallest probed t with survival below the truncation floor."""
-    hi = max(start, 1.0)
-    for _ in range(64):
-        if 1.0 - san_cdf(hi, x) < _SAN_SURVIVAL_FLOOR:
-            return hi
-        hi *= 1.5
-    raise OracleConvergenceError(
-        f"survival of L({x}) never dropped below {_SAN_SURVIVAL_FLOOR} up to t={hi:.3g}")
+def _san_tail(q: float, x: float) -> float:
+    """int_q^inf (1 - F(t)) dt for L(x), in closed form.
+
+    The survival is S = P + Q - PQ, with Q = (1+t) e^-t the survival of T4+T5
+    and P = 1 - J = e^-t (1+t-x) + x e^(-t(1+1/x)) + (e^(-t/x) - e^-t)/a.
+    Expanded, S is a sum of terms c t^k e^(-rate t) with k <= 2 and of 1/a
+    differences of two such terms; ``_moment`` integrates each.
+    """
+    u, a = 1.0 / x, 1.0 - 1.0 / x
+    terms = ((2.0 - x, 0, 1.0), (2.0, 1, 1.0), (x, 0, 1.0 + u), (x - 1.0, 0, 2.0),
+             (x - 2.0, 1, 2.0), (-1.0, 2, 2.0), (-x, 0, 2.0 + u), (-x, 1, 2.0 + u))
+    gaps = ((1.0, 0, u), (-1.0, 0, 1.0 + u), (-1.0, 1, 1.0 + u))
+    return (sum(c * _moment(k, r, q) for c, k, r in terms)
+            + sum(c * _moment(k, r, q, a) for c, k, r in gaps))
 
 
 def san_var(x: float, alpha: float) -> float:
-    """Quantile of L(x) by bracketed root finding (abs tolerance 1e-9)."""
+    """Quantile of L(x) by brentq (abs tolerance 1e-9) on [0, 100], which brackets
+    every alpha < 1: for x <= 2 the survival at t = 100 is below 1e-20."""
     x = _check_san_param(x)
     alpha = _check_alpha(alpha)
-    hi = 1.0
-    for _ in range(64):
-        if san_cdf(hi, x) > alpha:
-            break
-        hi *= 2.0
-    else:
-        raise OracleConvergenceError(f"failed to bracket the {alpha} quantile of L({x})")
-    try:
-        return optimize.brentq(lambda t: san_cdf(t, x) - alpha, 0.0, hi, xtol=1e-9, maxiter=200)
-    except RuntimeError as exc:  # pragma: no cover - brentq convergence failure
-        raise OracleConvergenceError(f"quantile root find failed for x={x}, alpha={alpha}: {exc}")
+    return optimize.brentq(lambda t: san_cdf(t, x) - alpha, 0.0, 100.0, xtol=1e-9, maxiter=200)
 
 
 def san_mean(x: float) -> float:
-    """E[L(x)] via quadrature of the survival function."""
-    x = _check_san_param(x)
-    hi = _san_upper_bound(x, 10.0)
-    val, _ = integrate.quad(lambda t: 1.0 - san_cdf(t, x), 0.0, hi,
-                            epsabs=1e-10, epsrel=1e-8, limit=400)
-    return val
+    """E[L(x)] = int_0^inf (1 - F(t)) dt, in closed form."""
+    return _san_tail(0.0, _check_san_param(x))
 
 
 @lru_cache(maxsize=4096)
 def san_true_cvar(x: float, alpha: float) -> float:
-    """True CVaR of L(x): quantile plus the scaled tail integral.
-
-    CVaR_alpha = q_alpha + (1 - alpha)^-1 * int_q^inf (1 - F(t)) dt, with
-    the tail integral truncated where the survival drops below 1e-14.
-    Results are cached because experiment harnesses reuse a fixed test grid.
-    """
+    """True CVaR of L(x), q + (1 - alpha)^-1 int_q^inf (1 - F) dt with q from ``san_var``
+    and the integral from ``_san_tail``; cached as harnesses reuse one test grid."""
     q = san_var(x, alpha)
-    hi = _san_upper_bound(x, q + 10.0)
-    tail, _ = integrate.quad(lambda t: 1.0 - san_cdf(t, x), q, hi,
-                             epsabs=1e-12, epsrel=1e-8, limit=400)
-    return q + tail / (1.0 - alpha)
+    return q + _san_tail(q, x) / (1.0 - alpha)

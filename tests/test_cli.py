@@ -46,6 +46,13 @@ class TestFitGpd:
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("fit-gpd", "--input", tmp_path / "nope.csv") == 1
 
+    def test_bad_threshold_quantile_is_named(self, exp_losses_csv, capsys):
+        assert run_cli("fit-gpd", "--input", exp_losses_csv, "--threshold-quantile", "1.0") == 1
+        assert "error: threshold_quantile must lie in (0, 1), got 1.0" in capsys.readouterr().err
+        assert run_cli("estimate", "--input", exp_losses_csv, "--alpha", "0.95",
+                       "--method", "pot", "--threshold-quantile", "0") == 1
+        assert "error: threshold_quantile must lie in (0, 1), got 0.0" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_empirical_enumeration(self, tmp_path, capsys):
@@ -119,6 +126,18 @@ class TestDesign:
 
     def test_bad_bounds(self, capsys):
         assert run_cli("design", "--lower", "0,0", "--upper", "1", "--count", "3") == 1
+
+    @pytest.mark.parametrize("kind", ["grid", "lhs"])
+    @pytest.mark.parametrize("lower, upper", [
+        ("0", "inf"), ("-inf", "0"), ("nan", "1"), ("0,0", "1,inf"), ("-1e308", "1e308"),
+    ])
+    def test_non_finite_domain_rejected(self, kind, lower, upper, capsys):
+        rc = run_cli("design", "--kind", kind, f"--lower={lower}", f"--upper={upper}",
+                     "--count", "3")
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert "finite" in err
 
 
 class TestPredict:

@@ -19,6 +19,17 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain((0.0, 0.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ((0.0,), (np.inf,)),
+        ((-np.inf,), (0.0,)),
+        ((np.nan,), (1.0,)),
+        ((0.0, 0.0), (1.0, np.nan)),
+        ((-1e308,), (1e308,)),
+    ])
+    def test_non_finite_bounds_and_widths_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            Domain(lower, upper)
+
     def test_dim(self):
         assert Domain((0.0, 0.0), (1.0, 2.0)).dim == 2
 

@@ -333,6 +333,75 @@ class TestFitGpdProperties:
             assert loglik <= fit.loglik + 1e-9 * max(1.0, abs(fit.loglik))
 
 
+def gpd_points(shapes):
+    """(xi, beta, z): z holds GPD quantiles at levels 0.01-0.99 of (xi, beta).
+
+    The levels keep the density away from zero and every z well inside the
+    support, so central differences of width 1e-6 stay in it.
+    """
+    def build(args):
+        xi, beta, levels = args
+        big_l = -np.log1p(-np.asarray(levels))
+        z = beta * (big_l if abs(xi) < er.XI_ZERO_EPS else np.expm1(xi * big_l) / xi)
+        return xi, beta, z
+
+    return st.tuples(shapes, st.floats(0.1, 10.0),
+                     st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8)).map(build)
+
+
+# Inside |xi| < XI_SERIES_EPS the beta-partial of gpd_score is the xi = 0
+# value, which drops an O(xi) term (test_small_xi_limits_match_neighbourhood
+# pins it). Outside that band the general xi-partials still cancel terms of
+# size z / (beta |xi|), and a difference quotient magnifies that rounding by
+# 1/h. The parameter properties therefore draw |xi| >= 0.05, where it stays
+# below the 1e-8 per-point tolerance.
+REGULAR_SHAPES = st.one_of(st.floats(-0.45, -0.05), st.floats(0.05, 0.95))
+
+
+class TestGpdDerivativeProperties:
+    """gpd_cdf, gpd_logpdf, gpd_score and gpd_hessian agree by central differences."""
+
+    H = 1e-6
+
+    @PROPERTY_SETTINGS
+    @given(point=gpd_points(st.floats(-0.45, 0.95)))
+    def test_density_is_the_derivative_of_the_cdf(self, point):
+        xi, beta, z = point
+        h = self.H * beta
+        fd = (er.gpd_cdf(xi, beta, z + h) - er.gpd_cdf(xi, beta, z - h)) / (2 * h)
+        np.testing.assert_allclose(fd, np.exp(er.gpd_logpdf(xi, beta, z)), rtol=1e-6)
+
+    @PROPERTY_SETTINGS
+    @given(point=gpd_points(REGULAR_SHAPES))
+    def test_score_is_the_gradient_of_the_loglik(self, point):
+        xi, beta, z = point
+        h = self.H
+
+        def loglik(x, b):
+            return float(np.sum(er.gpd_logpdf(x, b, z)))
+
+        fd = [(loglik(xi + h, beta) - loglik(xi - h, beta)) / (2 * h),
+              (loglik(xi, beta * (1 + h)) - loglik(xi, beta * (1 - h))) / (2 * h * beta)]
+        score = [float(np.sum(s)) for s in er.gpd_score(xi, beta, z)]
+        np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-8 * z.size)
+
+    @PROPERTY_SETTINGS
+    @given(point=gpd_points(REGULAR_SHAPES))
+    def test_hessian_is_the_jacobian_of_the_score(self, point):
+        xi, beta, z = point
+        h = self.H
+
+        def score(x, b):
+            return np.array([np.sum(s) for s in er.gpd_score(x, b, z)])
+
+        d_xi = (score(xi + h, beta) - score(xi - h, beta)) / (2 * h)
+        d_beta = (score(xi, beta * (1 + h)) - score(xi, beta * (1 - h))) / (2 * h * beta)
+        h_xx, h_xb, h_bb = (float(np.sum(v)) for v in er.gpd_hessian(xi, beta, z))
+        np.testing.assert_allclose([[h_xx, h_xb], [h_xb, h_bb]],
+                                   np.column_stack([d_xi, d_beta]),
+                                   rtol=1e-6, atol=1e-8 * z.size)
+
+
 def exact_exponential_fit(n=1000):
     info = np.array([[2.0, 1.0], [1.0, 1.0]])  # Fisher information at xi=0, beta=1
     return er.GpdFit(u=0.0, n_total=n, n_exceed=n, zeta=1.0, xi=0.0, beta=1.0,
@@ -476,6 +545,23 @@ class TestDeltaVariance:
 
 
 class TestSpectral:
+    @PROPERTY_SETTINGS
+    @given(z=gpd_or_bounded_exceedances(), extra=st.integers(0, 5000),
+           level=st.floats(1e-3, 0.999), u=st.floats(-5.0, 5.0))
+    def test_cvar_spectrum_is_pot_cvar_on_interior_fits(self, z, extra, level, u):
+        # alpha runs over the tail the fit covers, (1 - zeta, 1). The spectral
+        # variance differences a quadrature, hence its looser tolerance.
+        fit = er.fit_gpd_exceedances(z, n_total=z.size + extra, u=u)
+        if fit.boundary:
+            return
+        alpha = 1.0 - fit.zeta * (1.0 - level)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", er.HeavyTailWarning)
+            pot = er.pot_cvar(fit, alpha)
+            spectral = er.spectral_pot(fit, er.SpectralMeasure.cvar(alpha))
+        assert spectral.value == pytest.approx(pot.value, rel=1e-8)
+        assert spectral.variance == pytest.approx(pot.variance, rel=1e-5)
+
     def test_cvar_spectrum_reduces_to_pot_cvar(self):
         fit = exact_exponential_fit()
         est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.95))

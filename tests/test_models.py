@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtkrig import models
 from evtkrig.evt_risk import empirical_cvar
@@ -181,3 +183,70 @@ class TestSanOracle:
         draws = models.san_simulate(1.0, 1_000_000, RngStream(37))
         emp = empirical_cvar(draws, 0.95).value
         assert models.san_true_cvar(1.0, 0.95) == pytest.approx(emp, rel=1e-2)
+
+    def test_cdf_is_exactly_one_far_out_and_at_infinity(self):
+        assert models.san_cdf(800.0, 1.0) == 1.0
+        for x in (0.3, 1.0, 2.0):
+            assert models.san_cdf(math.inf, x) == 1.0
+
+    def test_cdf_is_nonnegative_near_zero(self):
+        # F(t) is about t^5 / (6x) here, far below the rounding of J's leading 1.
+        for x in (0.3, 0.7, 1.0, 1.5, 2.0):
+            for t in np.geomspace(1e-12, 1e-2, 200):
+                assert 0.0 <= models.san_cdf(t, x) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(x=st.floats(0.3, 2.0), t1=st.floats(0.0, 1e3), t2=st.floats(0.0, 1e3))
+    def test_cdf_is_a_distribution_function(self, x, t1, t2):
+        lo, hi = sorted((t1, t2))
+        f_lo, f_hi = models.san_cdf(lo, x), models.san_cdf(hi, x)
+        assert 0.0 <= f_lo <= 1.0 and 0.0 <= f_hi <= 1.0
+        # Nondecreasing up to rounding: where F is flat near 1 the closed form
+        # can step down by an ulp.
+        assert f_hi >= f_lo - 2.0**-51
+
+
+SAN_REF_XS = (0.3, 0.5, 0.99960, 1.0 - 1e-6, 1.0, 1.3, 2.0)
+SAN_REF_ALPHAS = (0.5, 0.95, 0.99, 0.995)
+SAN_REF_DPS = 32
+
+
+def _ref_san_cdf(t, x):
+    """The closed-form CDF in mpmath; (e^(-t/x) - e^-t) / (1 - 1/x) is t e^-t at x = 1."""
+    t, x = mp.mpf(t), mp.mpf(x)
+    gap = t * mp.exp(-t) if x == 1 else (mp.exp(-t / x) - mp.exp(-t)) / (1 - 1 / x)
+    joint = 1 - mp.exp(-t) * (1 + t - x) - x * mp.exp(-t * (1 + 1 / x)) - gap
+    return joint * (1 - (1 + t) * mp.exp(-t))
+
+
+def _ref_san_tail(q, x):
+    """int_q^inf (1 - F) by one mpmath quadrature over [q, q + 200].
+
+    The survival beyond q + 200 is of order e^-100 or less for every x <= 2.
+    """
+    return mp.quad(lambda t: 1 - _ref_san_cdf(t, x), [q, q + 5, q + 20, q + 60, q + 200])
+
+
+class TestSanOracleReference:
+    """The float oracle against a 32-digit mpmath reference, to 1e-12 relative."""
+
+    def test_reference_cdf_is_the_conditioning_integral(self):
+        with mp.workdps(SAN_REF_DPS):
+            for x in (0.3, 1.0, 2.0):
+                for t in (0.5, 3.0, 12.0):
+                    tt, xx = mp.mpf(t), mp.mpf(x)
+                    joint = mp.quad(lambda s: mp.exp(-s) * (1 - mp.exp(-(tt - s)))
+                                    * (1 - mp.exp(-(tt - s) / xx)), [0, tt])
+                    want = joint * (1 - (1 + tt) * mp.exp(-tt))
+                    assert abs(_ref_san_cdf(t, x) - want) <= mp.mpf(10) ** -28 * want
+
+    @pytest.mark.parametrize("x", SAN_REF_XS)
+    def test_cdf_cvar_and_mean(self, x):
+        with mp.workdps(SAN_REF_DPS):
+            for alpha in SAN_REF_ALPHAS:
+                q = mp.findroot(lambda t: _ref_san_cdf(t, x) - alpha, models.san_var(x, alpha))
+                assert models.san_cdf(float(q), x) == pytest.approx(
+                    float(_ref_san_cdf(float(q), x)), rel=1e-12)
+                cvar = q + _ref_san_tail(q, x) / (1 - mp.mpf(alpha))
+                assert models.san_true_cvar(x, alpha) == pytest.approx(float(cvar), rel=1e-12)
+            assert models.san_mean(x) == pytest.approx(float(_ref_san_tail(0, x)), rel=1e-12)
