@@ -12,10 +12,10 @@ reals). Two routes are provided for CVaR at level ``alpha``:
   estimator variance follows from the delta method through the empirical
   Fisher information of the GPD log-likelihood.
 
-A generic spectral estimator integrates the POT quantile curve against an
-admissible risk spectrum, covering every coherent, law-invariant,
-comonotone-additive risk measure; CVaR is the constant-spectrum special
-case.
+A generic spectral estimator integrates the POT quantile curve in closed
+form against an admissible piecewise-linear risk spectrum, covering the
+coherent, law-invariant, comonotone-additive risk measures; CVaR is the
+constant-spectrum special case.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 __all__ = [
     "RiskEstimate",
@@ -254,14 +254,14 @@ def gpd_score(xi: float, beta: float, z):
     xi, beta = float(xi), float(beta)
     zz = _check_gpd_args(xi, beta, z)
     t = zz / beta
+    denom = beta + xi * zz
     if abs(xi) < XI_SERIES_EPS:
         d_xi = (t * t / 2.0 - t) + xi * (t**2 - 2.0 * t**3 / 3.0) \
             + xi**2 * (0.75 * t**4 - t**3)
-        d_beta = (t - 1.0) / beta
     else:
-        denom = beta + xi * zz
         d_xi = np.log1p(xi * t) / xi**2 - (1.0 / xi + 1.0) * zz / denom
-        d_beta = (zz * (xi + 1.0) / denom - 1.0) / beta
+    # The beta-partial has no cancellation at any xi, xi = 0 included.
+    d_beta = (zz * (xi + 1.0) / denom - 1.0) / beta
     return d_xi, d_beta
 
 
@@ -504,31 +504,36 @@ def pot_var(fit: GpdFit, alpha: float) -> float:
     return fit.u + fit.beta * math.expm1(fit.xi * big_l) / fit.xi
 
 
-def _excess_factor(xi: float, big_l: float) -> float:
-    """(CVaR - u) / beta as a function of the shape; stable near xi = 0.
+def _excess_factor(xi: float, big_l: float, m: int = 1) -> float:
+    """The scaled tail moment E_m(xi, L) = (e^(xi L) / (m - xi) - 1/m) / xi.
 
-    Equals (e^(xi L) / (1 - xi) - 1) / xi, rewritten as
-    expm1(xi L) / (xi (1 - xi)) + 1 / (1 - xi).
+    With s = 1 - alpha and L = log(zeta / s), the POT quantile curve gives
+    int_0^s t^(m-1) VaR_(1-t) dt = s^m (u/m + beta E_m), so E_1 is
+    (CVaR - u) / beta. Evaluated as expm1(xi L) / (xi (m - xi)) + 1 / (m (m - xi)),
+    which stays stable near xi = 0; the limit there is L/m + 1/m^2.
     """
     if abs(xi) < XI_ZERO_EPS:
-        return 1.0 + big_l
-    return math.expm1(xi * big_l) / (xi * (1.0 - xi)) + 1.0 / (1.0 - xi)
+        return big_l / m + 1.0 / m**2
+    return math.expm1(xi * big_l) / (xi * (m - xi)) + 1.0 / (m * (m - xi))
 
 
-def _excess_factor_dxi(xi: float, big_l: float) -> float:
-    """d/dxi of :func:`_excess_factor`; series below |xi| = 1e-4."""
+def _excess_factor_dxi(xi: float, big_l: float, m: int = 1) -> float:
+    """d/dxi of :func:`_excess_factor`; series below |xi| = 1e-4.
+
+    The series is E_m = sum_n d_n xi^n with d_0 = (L + 1/m) / m and
+    d_n = (d_(n-1) + L^(n+1) / (n+1)!) / m, cut after the xi^3 term of the
+    derivative.
+    """
     if abs(xi) < 1e-4:
-        # Partial exponential sums e_k = sum_{j<=k} L^j / j!.
-        e2 = 1.0 + big_l + big_l**2 / 2.0
-        e3 = e2 + big_l**3 / 6.0
-        e4 = e3 + big_l**4 / 24.0
-        e5 = e4 + big_l**5 / 120.0
-        return e2 + 2.0 * xi * e3 + 3.0 * xi**2 * e4 + 4.0 * xi**3 * e5
+        d = [(big_l + 1.0 / m) / m]
+        for n in range(1, 5):
+            d.append((d[-1] + big_l ** (n + 1) / math.factorial(n + 1)) / m)
+        return d[1] + 2.0 * xi * d[2] + 3.0 * xi**2 * d[3] + 4.0 * xi**3 * d[4]
     a = math.exp(xi * big_l)
-    one = 1.0 - xi
+    one = m - xi
     return (big_l * a / (xi * one)
-            - math.expm1(xi * big_l) * (1.0 - 2.0 * xi) / (xi * one) ** 2
-            + 1.0 / one**2)
+            - math.expm1(xi * big_l) * (m - 2.0 * xi) / (xi * one) ** 2
+            + 1.0 / (m * one**2))
 
 
 def pot_cvar_value(fit: GpdFit, alpha: float) -> float:
@@ -606,13 +611,13 @@ def delta_variance(fit: GpdFit, alpha: float) -> float:
 class SpectralMeasure:
     """An admissible risk spectrum phi on (0, 1): nonnegative, nondecreasing,
     integrating to one. The risk value is int VaR_lambda phi(lambda) dlambda.
+
+    phi interpolates ``values`` linearly on ``grid`` and is zero off it.
     """
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    support_lower: float
     label: str
-    cvar_alpha: float | None = None
 
     @classmethod
     def cvar(cls, alpha: float) -> "SpectralMeasure":
@@ -620,105 +625,82 @@ class SpectralMeasure:
         alpha = _check_alpha(alpha)
         h = 1.0 / (1.0 - alpha)
         return cls(grid=np.array([alpha, 1.0]), values=np.array([h, h]),
-                   support_lower=alpha, label=f"cvar({alpha})", cvar_alpha=alpha)
+                   label=f"cvar({alpha})")
 
     @classmethod
-    def from_table(cls, grid, values, check_admissible: bool = True) -> "SpectralMeasure":
-        """Piecewise-linear spectrum from tabulated weights on a grid in (0, 1)."""
+    def from_table(cls, grid, values) -> "SpectralMeasure":
+        """Admissible piecewise-linear spectrum tabulated on a grid in (0, 1] ending at 1."""
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise ValueError("grid and values must be equal-length 1-D arrays (>= 2 points)")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
-        if grid[0] <= 0.0 or grid[-1] > 1.0:
-            raise ValueError("grid must lie inside (0, 1]")
+        if grid[0] <= 0.0 or grid[-1] != 1.0:
+            raise ValueError("grid must lie in (0, 1] and end at 1")
         if np.any(values < 0.0):
             raise ValueError("spectrum weights must be nonnegative")
-        if check_admissible:
-            if np.any(np.diff(values) < -1e-12):
-                raise ValueError("admissible spectra are nondecreasing")
-            total = float(np.trapezoid(values, grid))
-            if abs(total - 1.0) > 1e-8:
-                raise ValueError(f"spectrum must integrate to 1, got {total:.10g}")
-        return cls(grid=grid, values=values, support_lower=float(grid[0]),
-                   label="tabulated")
+        if np.any(np.diff(values) < -1e-12):
+            raise ValueError("admissible spectra are nondecreasing")
+        total = float(np.trapezoid(values, grid))
+        if abs(total - 1.0) > 1e-8:
+            raise ValueError(f"spectrum must integrate to 1, got {total:.10g}")
+        return cls(grid=grid, values=values, label="tabulated")
+
+    @property
+    def support_lower(self) -> float:
+        return float(self.grid[0])
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
         out = np.interp(lam, self.grid, self.values, left=0.0, right=0.0)
         return float(out) if lam.ndim == 0 else out
 
-    def breakpoints(self) -> np.ndarray:
-        return self.grid[(self.grid > self.support_lower) & (self.grid < 1.0)]
+
+def _tail_moments(fit: GpdFit, lam: float) -> np.ndarray:
+    """int_0^s t^(m-1) VaR_(1-t) dt for m = 1, 2 at s = 1 - lam, with partials.
+
+    Row m - 1 holds the integral s^m (u/m + beta E_m(xi, L)), L = log(zeta / s)
+    (see :func:`_excess_factor`), then its d/dxi and d/dbeta. At s = 0 every
+    entry is 0, since xi < 1.
+    """
+    s = 1.0 - lam
+    if s == 0.0:
+        return np.zeros((2, 3))
+    big_l = _log_ratio(fit.zeta, lam)
+    rows = []
+    for m in (1, 2):
+        e = _excess_factor(fit.xi, big_l, m)
+        e_dxi = _excess_factor_dxi(fit.xi, big_l, m)
+        rows.append([s**m * (fit.u / m + fit.beta * e), s**m * fit.beta * e_dxi, s**m * e])
+    return np.array(rows)
 
 
-def _spectral_value(xi: float, beta: float, u: float, zeta: float,
-                    phi: SpectralMeasure) -> float:
-    """int_{lam0}^1 VaR_lambda phi(lambda) dlambda for the fitted tail."""
-    lam0 = phi.support_lower
-    quad_opts = {"epsabs": 1e-12, "epsrel": 1e-8, "limit": 400}
-    if abs(xi) < XI_ZERO_EPS:
-        # lambda = 1 - e^-t turns the log endpoint into exponential decay.
-        t0 = -math.log1p(-lam0)
+def _spectral_integral(fit: GpdFit, phi: SpectralMeasure) -> np.ndarray:
+    """int VaR_lambda phi(lambda) dlambda for the fitted tail, then its d/dxi, d/dbeta.
 
-        def integrand(t: float) -> float:
-            lam = -math.expm1(-t)
-            q = u + beta * (math.log(zeta) + t)
-            return q * phi(lam) * math.exp(-t)
-
-        pts = [-math.log1p(-b) for b in phi.breakpoints()]
-        hi = t0 + 45.0
-        val, _ = integrate.quad(integrand, t0, hi,
-                                points=[p for p in pts if t0 < p < hi] or None, **quad_opts)
-        return val
-    if xi > 0.0:
-        # t = (1 - lambda)^(1 - xi) cancels the (1 - lambda)^-xi endpoint
-        # singularity against the Jacobian: the transformed integrand is
-        # phi(lambda) * [(u - beta/xi) t^(xi/(1-xi)) + (beta/xi) zeta^xi] / (1-xi).
-        one = 1.0 - xi
-        t0 = (1.0 - lam0) ** one
-        sing = beta / xi * zeta**xi
-
-        def integrand(t: float) -> float:
-            lam = 1.0 - t ** (1.0 / one)
-            return phi(lam) * ((u - beta / xi) * t ** (xi / one) + sing) / one
-
-        pts = [(1.0 - b) ** one for b in phi.breakpoints()]
-        val, _ = integrate.quad(integrand, 0.0, t0,
-                                points=[p for p in pts if 0.0 < p < t0] or None, **quad_opts)
-        return val
-
-    def integrand(lam: float) -> float:
-        q = u + beta / xi * (((1.0 - lam) / zeta) ** (-xi) - 1.0)
-        return q * phi(lam)
-
-    pts = [b for b in phi.breakpoints() if lam0 < b < 1.0]
-    val, _ = integrate.quad(integrand, lam0, 1.0, points=pts or None, **quad_opts)
-    return val
-
-
-def spectral_pot(fit: GpdFit, phi: SpectralMeasure) -> RiskEstimate:
-    """POT estimate of a spectral risk measure with a delta-method variance.
-
-    The value integrates the extrapolated quantile curve against the
-    spectrum (adaptive quadrature with an endpoint substitution for
-    0 < xi < 1); the parameter gradient for the variance is taken by
-    central finite differences of that quadrature value.
+    In s = 1 - lambda each grid segment of the spectrum is phi = c0 + c1 s,
+    so its share of the integral is c0 and c1 times the differences of the
+    first and second tail moments (:func:`_tail_moments`) between the
+    segment ends.
     """
     if fit.xi >= 1.0:
         raise HeavyTailError(f"xi={fit.xi} >= 1: the spectral integral diverges")
-    if phi.support_lower < 1.0 - fit.zeta - 1e-12:
-        raise TailOrderError(
-            f"spectrum weight below the threshold level {1.0 - fit.zeta:.6g}")
-    value = _spectral_value(fit.xi, fit.beta, fit.u, fit.zeta, phi)
+    moments = np.array([_tail_moments(fit, lam) for lam in phi.grid])
+    c1 = -np.diff(phi.values) / np.diff(phi.grid)
+    c0 = phi.values[:-1] - c1 * (1.0 - phi.grid[:-1])
+    seg = moments[:-1] - moments[1:]
+    return c0 @ seg[:, 0] + c1 @ seg[:, 1]
 
-    h_xi = 1e-5 * max(1.0, abs(fit.xi))
-    h_beta = 1e-5 * max(1.0, abs(fit.beta))
-    g_xi = (_spectral_value(fit.xi + h_xi, fit.beta, fit.u, fit.zeta, phi)
-            - _spectral_value(fit.xi - h_xi, fit.beta, fit.u, fit.zeta, phi)) / (2.0 * h_xi)
-    g_beta = (_spectral_value(fit.xi, fit.beta + h_beta, fit.u, fit.zeta, phi)
-              - _spectral_value(fit.xi, fit.beta - h_beta, fit.u, fit.zeta, phi)) / (2.0 * h_beta)
+
+def spectral_pot(fit: GpdFit, phi: SpectralMeasure) -> RiskEstimate:
+    """POT estimate of a spectral risk measure with its delta-method variance.
+
+    The value and its exact (xi, beta) gradient are closed form
+    (:func:`_spectral_integral`); the variance is grad' I^-1 grad / n_exceed.
+    For the CVaR spectrum both match :func:`pot_cvar` to round-off.
+    """
+    value, g_xi, g_beta = _spectral_integral(fit, phi)
     variance = _quad_form_variance(np.array([g_xi, g_beta]), fit)
-    alpha = phi.cvar_alpha if phi.cvar_alpha is not None else phi.support_lower
-    return RiskEstimate(value=value, variance=variance, alpha=alpha, method="spectral")
+    return RiskEstimate(value=float(value), variance=variance, alpha=phi.support_lower,
+                        method="spectral")

@@ -63,7 +63,6 @@ POT_EVT = "POT-EVT"
 METHODS = (ORD_KRG, POT_EMP, EMP_EMP, POT_EVT)
 
 SAN_DESIGN_POINTS = 7
-SAN_BUDGETS = (1_000, 10_000, 100_000)
 MAPE_TRUTH_FLOOR = 1e-9
 
 # Stream key prefixes; the simulation stream is shared by every method, so

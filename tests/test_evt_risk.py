@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,12 +177,19 @@ class TestGpdPartials:
 
     def test_small_xi_limits_match_neighbourhood(self):
         # The xi~0 closed-form limits must agree with the general formulas
-        # evaluated just outside the switch.
+        # evaluated just outside the switch; the beta-partial is exact there.
+        def exact_d_beta(xi, beta, z):
+            with mpmath.workdps(30):
+                xi, z = mpmath.mpf(xi), mpmath.mpf(z)
+                return float(mpmath.diff(
+                    lambda b: -mpmath.log(b) - (1 + 1 / xi) * mpmath.log1p(xi * z / b),
+                    mpmath.mpf(beta)))
+
         for z in (0.3, 1.0, 2.7):
             near = er.gpd_score(1e-7, 1.3, z)
             limit = er.gpd_score(0.0, 1.3, z)
             assert near[0] == pytest.approx(limit[0], rel=1e-5, abs=1e-9)
-            assert near[1] == pytest.approx(limit[1], rel=1e-7)
+            assert near[1] == pytest.approx(exact_d_beta(1e-7, 1.3, z), rel=1e-13)
             near_h = er.gpd_hessian(1e-7, 1.3, z)
             limit_h = er.gpd_hessian(0.0, 1.3, z)
             for a, b in zip(near_h, limit_h):
@@ -242,6 +250,15 @@ class TestFitGpd:
         assert outlier.boundary and outlier.xi == pytest.approx(er.XI_BOUNDS[1], abs=1e-6)
         with pytest.raises(er.SingularInformationError):
             er.fit_gpd_exceedances(np.r_[np.zeros(999), 1.0])
+
+    def test_fit_next_to_the_exponential_passes_its_gradient_check(self):
+        # The interior optimum sits at xi ~ -8e-6, inside the xi-series band;
+        # the beta-partial of the score must keep its O(xi) term there.
+        z = np.random.default_rng(0).exponential(size=100)
+        z[np.argmax(z)] *= 1.23166
+        fit = er.fit_gpd_exceedances(z)
+        assert not fit.boundary
+        assert abs(fit.xi) < er.XI_SERIES_EPS
 
     def test_profile_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -349,9 +366,7 @@ def gpd_points(shapes):
                      st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8)).map(build)
 
 
-# Inside |xi| < XI_SERIES_EPS the beta-partial of gpd_score is the xi = 0
-# value, which drops an O(xi) term (test_small_xi_limits_match_neighbourhood
-# pins it). Outside that band the general xi-partials still cancel terms of
+# Just outside |xi| < XI_SERIES_EPS the general xi-partials cancel terms of
 # size z / (beta |xi|), and a difference quotient magnifies that rounding by
 # 1/h. The parameter properties therefore draw |xi| >= 0.05, where it stays
 # below the 1e-8 per-point tolerance.
@@ -549,8 +564,7 @@ class TestSpectral:
     @given(z=gpd_or_bounded_exceedances(), extra=st.integers(0, 5000),
            level=st.floats(1e-3, 0.999), u=st.floats(-5.0, 5.0))
     def test_cvar_spectrum_is_pot_cvar_on_interior_fits(self, z, extra, level, u):
-        # alpha runs over the tail the fit covers, (1 - zeta, 1). The spectral
-        # variance differences a quadrature, hence its looser tolerance.
+        # alpha runs over the tail the fit covers, (1 - zeta, 1).
         fit = er.fit_gpd_exceedances(z, n_total=z.size + extra, u=u)
         if fit.boundary:
             return
@@ -559,13 +573,13 @@ class TestSpectral:
             warnings.simplefilter("ignore", er.HeavyTailWarning)
             pot = er.pot_cvar(fit, alpha)
             spectral = er.spectral_pot(fit, er.SpectralMeasure.cvar(alpha))
-        assert spectral.value == pytest.approx(pot.value, rel=1e-8)
-        assert spectral.variance == pytest.approx(pot.variance, rel=1e-5)
+        assert spectral.value == pytest.approx(pot.value, rel=1e-12)
+        assert spectral.variance == pytest.approx(pot.variance, rel=1e-10)
 
     def test_cvar_spectrum_reduces_to_pot_cvar(self):
         fit = exact_exponential_fit()
         est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.95))
-        assert est.value == pytest.approx(math.log(20) + 1, abs=1e-6)
+        assert est.value == pytest.approx(math.log(20) + 1, rel=1e-12)
         assert est.method == "spectral"
 
     def test_heavy_shape_value_and_variance_match_cvar_route(self):
@@ -576,22 +590,23 @@ class TestSpectral:
             warnings.simplefilter("ignore", er.HeavyTailWarning)
             est = er.spectral_pot(fit, phi)
             dv = er.delta_variance(fit, 0.95)
-        assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-8)
-        assert est.variance == pytest.approx(dv, rel=1e-2)
+        assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-12)
+        assert est.variance == pytest.approx(dv, rel=1e-10)
 
     def test_negative_shape_route(self):
         fit = er.GpdFit(u=1.0, n_total=2000, n_exceed=400, zeta=0.2, xi=-0.3,
                         beta=1.0, info=np.eye(2), loglik=0.0)
         est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.95))
-        assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-7)
+        assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-12)
 
     def test_point_mass_approximation_tends_to_quantile(self):
         fit = exact_exponential_fit()
         lam_star = 0.97
         w = 5e-4
         grid = np.array([lam_star - w, lam_star + w])
-        phi = er.SpectralMeasure.from_table(grid, np.array([1.0, 1.0]) / (2 * w),
-                                            check_admissible=False)
+        # Not admissible (phi drops to 0 above the window), so built directly.
+        phi = er.SpectralMeasure(grid=grid, values=np.array([1.0, 1.0]) / (2 * w),
+                                 label="window")
         est = er.spectral_pot(fit, phi)
         assert est.value == pytest.approx(er.pot_var(fit, lam_star), rel=1e-4)
 
@@ -602,6 +617,12 @@ class TestSpectral:
             er.SpectralMeasure.from_table([0.9, 1.0], [1.0, 2.0])  # integral != 1
         with pytest.raises(ValueError):
             er.SpectralMeasure.from_table([0.9, 1.0], [-1.0, 3.0])
+
+    def test_spectrum_must_reach_one(self):
+        # Integrates to 1 and is nondecreasing on its grid, but phi drops from
+        # 20 to 0 above 0.95.
+        with pytest.raises(ValueError, match="end at 1"):
+            er.SpectralMeasure.from_table([0.9, 0.95], [20.0, 20.0])
 
     def test_weight_below_threshold_rejected(self):
         fit = er.GpdFit(u=2.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.1,
@@ -621,3 +642,68 @@ class TestSpectral:
                                    0.85, 1.0, epsabs=1e-11, epsrel=1e-9, limit=300,
                                    points=list(grid[1:-1]))
         assert est.value == pytest.approx(oracle, rel=1e-6)
+
+
+def reference_spectral_integral(fit, phi, dps=30):
+    """int VaR_lambda phi(lambda) dlambda and its (xi, beta) partials in mpmath.
+
+    The integral runs in t = -log(1 - lambda), where VaR grows like e^(xi t)
+    against the weight e^-t: a plain quadrature in lambda misses the
+    (1 - lambda)^-xi endpoint singularity by about 2% at xi = 0.95.
+    """
+    with mpmath.workdps(dps):
+        xi, beta, u = (mpmath.mpf(v) for v in (fit.xi, fit.beta, fit.u))
+        log_zeta = mpmath.log(mpmath.mpf(fit.zeta))
+        grid = [mpmath.mpf(g) for g in phi.grid]
+        values = [mpmath.mpf(v) for v in phi.values]
+
+        def spectrum(t):
+            lam = -mpmath.expm1(-t)
+            for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
+                if a <= lam <= b:
+                    return fa + (fb - fa) * (lam - a) / (b - a)
+            return mpmath.mpf(0)
+
+        def partials(t):
+            big_l = log_zeta + t
+            if xi == 0:
+                return big_l, big_l**2 / 2
+            g = mpmath.expm1(xi * big_l) / xi
+            return g, big_l * mpmath.exp(xi * big_l) / xi - g / xi
+
+        def weighted(pick):
+            return lambda t: pick(t) * spectrum(t) * mpmath.exp(-t)
+
+        knots = [-mpmath.log1p(-g) for g in grid if g < 1] + \
+            ([mpmath.inf] if grid[-1] == 1 else [])
+        value = weighted(lambda t: u + beta * partials(t)[0])
+        d_xi = weighted(lambda t: beta * partials(t)[1])
+        d_beta = weighted(lambda t: partials(t)[0])
+        return [float(mpmath.quad(f, knots)) for f in (value, d_xi, d_beta)]
+
+
+class TestSpectralReference:
+    """The closed-form spectral value and gradient against a 30-digit quadrature."""
+
+    SHAPES = (-0.3, 0.0, 5e-5, 2e-3, 0.5, 0.95)
+
+    @staticmethod
+    def spectra():
+        table = np.array([1.0, 2.0, 2.5, 6.0, 6.0])
+        grid = np.array([0.88, 0.92, 0.95, 0.99, 1.0])
+        ramp_grid = np.array([0.9, 1.0])
+        return [er.SpectralMeasure.cvar(0.99),
+                er.SpectralMeasure.from_table(grid, table / np.trapezoid(table, grid)),
+                er.SpectralMeasure.from_table(ramp_grid, np.array([0.0, 20.0]))]
+
+    @pytest.mark.parametrize("xi", SHAPES)
+    def test_value_and_partials(self, xi):
+        fit = er.GpdFit(u=1.5, n_total=5000, n_exceed=750, zeta=0.15, xi=xi, beta=0.8,
+                        info=np.eye(2), loglik=0.0)
+        for phi in self.spectra():
+            value, d_xi, d_beta = er._spectral_integral(fit, phi)
+            ref = reference_spectral_integral(fit, phi)
+            assert value == pytest.approx(ref[0], rel=1e-12)
+            assert d_xi == pytest.approx(ref[1], rel=1e-11)
+            assert d_beta == pytest.approx(ref[2], rel=1e-12)
+            assert er.spectral_pot(fit, phi).value == value
