@@ -9,7 +9,8 @@ predict    evaluate a serialized kriging model at points from a CSV
 design     emit a Latin-hypercube or equally spaced design as CSV
 
 Exit codes: 0 success, 1 validation error (arguments, config schema,
-malformed input), 2 numerical failure (fit or oracle did not converge).
+malformed input), 2 numerical failure (a tail fit or tail estimate failed,
+or a kriging covariance would not factor).
 
 Flags ``--seed``, ``--threads`` and ``--out-dir`` may also be supplied via
 the environment as ``EVTKRIG_SEED``, ``EVTKRIG_THREADS`` and

@@ -16,8 +16,8 @@ Four estimation methods are compared on shared simulated data:
 With n replications per design point, per-replication estimates are
 averaged and their variances combined as Var(mean) = sum(V_j) / n^2.
 Performance is the mean absolute percentage error (MAPE) of the fitted
-surface over a fixed test set against the analytic (benchmark) or numeric
-(activity network) true CVaR.
+surface over a fixed test set against the closed-form true CVaR of the
+benchmark or activity-network model.
 """
 
 from __future__ import annotations
@@ -83,11 +83,6 @@ class SiteEstimate:
     boundary_fits: int = 0
 
 
-def _aggregate(values, variances) -> tuple[float, float]:
-    n = len(values)
-    return float(np.mean(values)), float(np.sum(variances)) / n**2
-
-
 def _squared_deviation_variance(values) -> float:
     """Across-replication squared-deviation estimate of Var(mean)."""
     v = np.asarray(values, dtype=float)
@@ -119,47 +114,35 @@ def estimate_site(method: str, samples, alpha: float,
 
     if method in (ORD_KRG, EMP_EMP):
         ests = [evt_risk.empirical_cvar(s, alpha) for s in samples]
-        resp, var = _aggregate([e.value for e in ests], [e.variance for e in ests])
-        if method == ORD_KRG:
-            return SiteEstimate(response=resp, variance=0.0)
-        return SiteEstimate(response=resp, variance=var)
+        var = float(np.sum([e.variance for e in ests])) / n**2
+        return SiteEstimate(response=float(np.mean([e.value for e in ests])),
+                            variance=var if method == EMP_EMP else 0.0)
 
     if gpd_fits is None:
         gpd_fits = [evt_risk.fit_gpd(s, threshold_quantile) for s in samples]
     if len(gpd_fits) != n:
         raise ValueError("gpd_fits length must match the number of replications")
     values = [evt_risk.pot_cvar_value(f, alpha) for f in gpd_fits]
-    heavy = sum(1 for f in gpd_fits if f.xi >= 0.5)
-    boundary = sum(1 for f in gpd_fits if f.boundary)
-
-    if method == POT_EMP:
-        return SiteEstimate(response=float(np.mean(values)),
-                            variance=_squared_deviation_variance(values),
-                            heavy_tails=heavy, boundary_fits=boundary)
 
     variances, fallbacks = [], 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
-        for fit in gpd_fits:
-            try:
-                variances.append(evt_risk.delta_variance(fit, alpha))
-            except evt_risk.SingularInformationError:
-                fallbacks += 1
-                variances.append(None)
-    if fallbacks:
-        if n >= 2:
-            resp = float(np.mean(values))
-            return SiteEstimate(response=resp,
-                                variance=_squared_deviation_variance(values),
-                                fallbacks=fallbacks, heavy_tails=heavy,
-                                boundary_fits=boundary)
-        variance = evt_risk.empirical_cvar(samples[0], alpha).variance
-        return SiteEstimate(response=values[0], variance=variance,
-                            fallbacks=fallbacks, heavy_tails=heavy,
-                            boundary_fits=boundary)
-    resp, var = _aggregate(values, variances)
-    return SiteEstimate(response=resp, variance=var,
-                        heavy_tails=heavy, boundary_fits=boundary)
+    if method == POT_EVT:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
+            for fit in gpd_fits:
+                try:
+                    variances.append(evt_risk.delta_variance(fit, alpha))
+                except evt_risk.SingularInformationError:
+                    fallbacks += 1
+    if method == POT_EMP or (fallbacks and n >= 2):
+        var = _squared_deviation_variance(values)
+    elif fallbacks:
+        var = evt_risk.empirical_cvar(samples[0], alpha).variance
+    else:
+        var = float(np.sum(variances)) / n**2
+    return SiteEstimate(response=float(np.mean(values)), variance=var,
+                        fallbacks=fallbacks,
+                        heavy_tails=sum(1 for f in gpd_fits if f.xi >= 0.5),
+                        boundary_fits=sum(1 for f in gpd_fits if f.boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +188,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every field; raise one :class:`ConfigError` listing each
         violation. Integer fields reject ``bool``. The POT methods' floor on
-        ``alphas`` depends on other fields, so it is checked once they pass."""
+        ``alphas`` depends on other fields, so it is checked once they pass.
+        A SAN test grid loses the point next to each design site, so it needs
+        ``SAN_DESIGN_POINTS + 2`` points to keep two."""
         scenarios = models.NOISE_SCENARIOS + ("san",)
+        min_test = SAN_DESIGN_POINTS + 2 if self.scenario == "san" else 2
         rules = (
             ("scenario", self.scenario in scenarios, f"one of {scenarios}"),
             ("san_budget", self.scenario != "san"
@@ -220,7 +206,8 @@ class ExperimentConfig:
             ("methods", self.methods is None or (
                 _non_empty(self.methods) and all(m in METHODS for m in self.methods)),
              f"a non-empty subset of {METHODS}"),
-            ("n_test", _is_int(self.n_test) and self.n_test >= 2, "an integer >= 2"),
+            ("n_test", _is_int(self.n_test) and self.n_test >= min_test,
+             f"an integer >= {min_test}"),
             ("threshold_quantile", _in_unit(self.threshold_quantile), "a number in (0, 1)"),
         )
         problems = [(name, f"must be {rule}, got {getattr(self, name)!r}")
@@ -238,7 +225,7 @@ class ExperimentConfig:
         if not problems and {POT_EVT, POT_EMP} & set(self.resolved_methods()):
             # fit_gpd's threshold: the ceil(q N)-th order statistic, lowered to
             # leave MIN_EXCEEDANCES above it. POT covers only levels at or above it.
-            n = self.n_obs
+            n = self.budget_allocation.n_obs
             level = min(math.ceil(self.threshold_quantile * n - 1e-9),
                         n - evt_risk.MIN_EXCEEDANCES) / n
             if min(self.alphas) < level:
@@ -249,31 +236,22 @@ class ExperimentConfig:
 
     @property
     def budget_allocation(self) -> BudgetAllocation:
-        """The catalog row of a benchmark cell."""
+        """The cell's (k sites, n replications, N observations) shape: the
+        catalog row of a benchmark cell, or ``SAN_DESIGN_POINTS`` sites of one
+        replication of ``san_budget`` observations, with id ``san_budget``."""
+        if self.scenario == "san":
+            return BudgetAllocation(self.san_budget, SAN_DESIGN_POINTS, 1, self.san_budget,
+                                    SAN_DESIGN_POINTS * self.san_budget)
         if isinstance(self.allocation, BudgetAllocation):
             return self.allocation
         return allocation_by_id(self.allocation)
 
     @property
-    def n_reps(self) -> int:
-        return 1 if self.scenario == "san" else self.budget_allocation.n
-
-    @property
-    def n_obs(self) -> int:
-        return self.san_budget if self.scenario == "san" else self.budget_allocation.n_obs
-
-    @property
-    def n_sites(self) -> int:
-        return SAN_DESIGN_POINTS if self.scenario == "san" else self.budget_allocation.k
-
-    @property
     def allocation_id(self) -> int:
-        return self.san_budget if self.scenario == "san" else self.budget_allocation.id
+        return self.budget_allocation.id
 
     @property
     def allocation_label(self) -> str:
-        if self.scenario == "san":
-            return f"7-1-{self.san_budget}"
         return self.budget_allocation.label
 
     def resolved_methods(self) -> tuple[str, ...]:
@@ -284,7 +262,8 @@ class ExperimentConfig:
         else:
             roster = METHODS
         # POT-EMP has no variance estimate from a single replication.
-        return tuple(m for m in roster if not (m == POT_EMP and self.n_reps < 2))
+        return tuple(m for m in roster
+                     if not (m == POT_EMP and self.budget_allocation.n < 2))
 
 
 @dataclass(frozen=True)
@@ -306,7 +285,7 @@ def _benchmark_domain() -> Domain:
     return Domain(models.BENCHMARK_LOWER, models.BENCHMARK_UPPER)
 
 
-def _san_test_points(design: np.ndarray, total: int = 200) -> np.ndarray:
+def _san_test_points(design: np.ndarray, total: int) -> np.ndarray:
     """Equally spaced grid with the point nearest each design site removed."""
     grid = np.linspace(models.SAN_LOWER, models.SAN_UPPER, total)
     keep = np.ones(total, dtype=bool)
@@ -317,7 +296,7 @@ def _san_test_points(design: np.ndarray, total: int = 200) -> np.ndarray:
 
 def _test_set(config: ExperimentConfig, design: np.ndarray) -> np.ndarray:
     if config.scenario == "san":
-        return _san_test_points(design)
+        return _san_test_points(design, config.n_test)
     return lhs(_benchmark_domain(), config.n_test,
                RngStream(config.seed, (_KEY_TEST,)))
 
@@ -331,15 +310,13 @@ def _truth(config: ExperimentConfig, points: np.ndarray, alpha: float) -> np.nda
 
 def _simulate_site(config: ExperimentConfig, location: np.ndarray, macro_rep: int,
                    site_index: int) -> list[np.ndarray]:
-    out = []
-    for j in range(config.n_reps):
-        stream = RngStream(config.seed, (_KEY_SIM, macro_rep, site_index, j))
-        if config.scenario == "san":
-            out.append(models.san_simulate(float(location[0]), config.n_obs, stream))
-        else:
-            out.append(models.benchmark_simulate(config.scenario, location,
-                                                 config.n_obs, stream))
-    return out
+    shape = config.budget_allocation
+    streams = [RngStream(config.seed, (_KEY_SIM, macro_rep, site_index, j))
+               for j in range(shape.n)]
+    if config.scenario == "san":
+        return [models.san_simulate(float(location[0]), shape.n_obs, s) for s in streams]
+    return [models.benchmark_simulate(config.scenario, location, shape.n_obs, s)
+            for s in streams]
 
 
 def _mape(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -351,11 +328,10 @@ def _mape(predictions: np.ndarray, truth: np.ndarray) -> float:
 
 
 def _design_points(config: ExperimentConfig, macro_rep: int) -> np.ndarray:
+    k = config.budget_allocation.k
     if config.scenario == "san":
-        return equally_spaced(Domain((models.SAN_LOWER,), (models.SAN_UPPER,)),
-                              SAN_DESIGN_POINTS)
-    return lhs(_benchmark_domain(), config.n_sites,
-               RngStream(config.seed, (_KEY_DESIGN, macro_rep)))
+        return equally_spaced(Domain((models.SAN_LOWER,), (models.SAN_UPPER,)), k)
+    return lhs(_benchmark_domain(), k, RngStream(config.seed, (_KEY_DESIGN, macro_rep)))
 
 
 def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.ndarray,
@@ -363,60 +339,46 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
     design = _design_points(config, macro_rep)
     roster = config.resolved_methods()
 
-    data: list[list[np.ndarray]] = []
+    data = [_simulate_site(config, x, macro_rep, i) for i, x in enumerate(design)]
     digest = 0
-    for i in range(len(design)):
-        site_samples = _simulate_site(config, design[i], macro_rep, i)
-        for arr in site_samples:
+    for site in data:
+        for arr in site:
             digest = zlib.crc32(arr.tobytes(), digest)
-        data.append(site_samples)
 
-    needs_pot = any(m in (POT_EVT, POT_EMP) for m in roster)
-    fits: list = []
-    fit_error: str | None = None
-    if needs_pot:
+    pot_methods = (POT_EVT, POT_EMP)
+    fits, fit_error = [], None
+    if any(m in pot_methods for m in roster):
         try:
             fits = [[evt_risk.fit_gpd(s, config.threshold_quantile) for s in site]
                     for site in data]
         except evt_risk.RiskError as exc:
-            fit_error = f"{type(exc).__name__}: {exc}"
+            fit_error = exc
 
     records = []
     for method in roster:
+        pot = method in pot_methods
         for alpha in config.alphas:
-            base_diag = f"data={digest:08x}"
-            if method in (POT_EVT, POT_EMP) and fit_error is not None:
-                records.append(ResultRecord(
-                    config.scenario, config.allocation_label, config.allocation_id,
-                    method, alpha, macro_rep, None,
-                    base_diag + ";error=" + fit_error.replace(";", ",")))
-                continue
+            mape, diag = None, f"data={digest:08x}"
             try:
-                sites = []
-                fallbacks = heavy = boundary = 0
-                for i in range(len(design)):
-                    est = estimate_site(
-                        method, data[i], alpha,
-                        threshold_quantile=config.threshold_quantile,
-                        gpd_fits=fits[i] if method in (POT_EVT, POT_EMP) else None)
-                    fallbacks += est.fallbacks
-                    heavy += est.heavy_tails
-                    boundary += est.boundary_fits
-                    sites.append(kriging.DesignSite(tuple(design[i]), est.response,
-                                                    est.variance))
-                model = kriging.fit(sites)
+                if pot and fit_error is not None:
+                    raise fit_error
+                ests = [estimate_site(method, data[i], alpha,
+                                      threshold_quantile=config.threshold_quantile,
+                                      gpd_fits=fits[i] if pot else None)
+                        for i in range(len(design))]
+                model = kriging.fit([kriging.DesignSite(tuple(x), e.response, e.variance)
+                                     for x, e in zip(design, ests)])
                 preds, _ = model.predict_many(test_points)
                 mape = _mape(preds, truths[alpha])
-                diag = (f"{base_diag};nugget={model.nugget:.3g}"
-                        f";fallbacks={fallbacks};heavy={heavy};boundary={boundary}")
-                records.append(ResultRecord(
-                    config.scenario, config.allocation_label, config.allocation_id,
-                    method, alpha, macro_rep, mape, diag))
+                diag += (f";nugget={model.nugget:.3g}"
+                         f";fallbacks={sum(e.fallbacks for e in ests)}"
+                         f";heavy={sum(e.heavy_tails for e in ests)}"
+                         f";boundary={sum(e.boundary_fits for e in ests)}")
             except (evt_risk.RiskError, kriging.SingularDesignError) as exc:
-                msg = f"{type(exc).__name__}: {exc}".replace(";", ",")
-                records.append(ResultRecord(
-                    config.scenario, config.allocation_label, config.allocation_id,
-                    method, alpha, macro_rep, None, base_diag + ";error=" + msg))
+                diag += ";error=" + f"{type(exc).__name__}: {exc}".replace(";", ",")
+            records.append(ResultRecord(config.scenario, config.allocation_label,
+                                        config.allocation_id, method, alpha, macro_rep,
+                                        mape, diag))
     return records
 
 
@@ -586,8 +548,7 @@ def write_summary_csv(records, path) -> None:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["scenario", "allocation", "method"]
                      + [f"median_mape_{a}" for a in alphas])
-        for (scenario, _alloc_id, allocation, method) in sorted(groups):
-            cells = groups[(scenario, _alloc_id, allocation, method)]
+        for (scenario, _, allocation, method), cells in sorted(groups.items()):
             meds = [(_fmt(float(np.median(cells[a]))) if cells.get(a) else "")
                     for a in alphas]
             out.writerow([scenario, allocation, method] + meds)

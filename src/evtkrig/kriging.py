@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, optimize
 
+from .design import Domain, lhs
+from .rng import RngStream
+
 __all__ = [
     "DesignSite",
     "KrigingModel",
@@ -50,7 +53,7 @@ NUGGET_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # fraction of their largest magnitude (see fit()).
 SOLVE_RTOL = 1e-8
 # Likelihood search: L-BFGS-B from N_STARTS Latin-hypercube starts drawn from
-# default_rng(START_SEED), at most MAX_ITER iterations each.
+# RngStream(START_SEED), at most MAX_ITER iterations each.
 N_STARTS = 10
 START_SEED = 0
 MAX_ITER = 200
@@ -168,7 +171,7 @@ class KrigingModel:
         if not isinstance(payload, dict):
             raise ValueError("model must be a JSON object")
         version = payload.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
         sites = payload.get("sites")
         if not isinstance(sites, list) or not all(isinstance(s, dict) for s in sites):
@@ -235,8 +238,8 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (locs.shape[1],):
         raise ValueError("theta dimension must match the location dimension")
-    if np.any(theta <= 0.0) or tau2 <= 0.0:
-        raise ValueError("tau2 and every theta must be positive")
+    if not (np.all(theta > 0.0) and tau2 > 0.0 and nugget >= 0.0):  # NaN fails too
+        raise ValueError("tau2 and every theta must be positive, the nugget nonnegative")
     sigma = _covariance(_squared_differences(locs, locs), intr, float(tau2), theta,
                         float(nugget))
     try:
@@ -286,13 +289,6 @@ def _search_box(locs: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lo, hi
 
 
-def _lhs_unit(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty((n, d))
-    for j in range(d):
-        out[:, j] = (rng.permutation(n) + rng.random(n)) / n
-    return out
-
-
 def fit(sites) -> KrigingModel:
     """Fit hyperparameters by profile-likelihood maximization.
 
@@ -322,8 +318,7 @@ def fit(sites) -> KrigingModel:
                 f"duplicate design sites {tuple(locs[a])} with zero intrinsic variance")
 
     lo, hi = _search_box(locs, resp)
-    rng = np.random.default_rng(START_SEED)
-    starts = lo + _lhs_unit(N_STARTS, lo.size, rng) * (hi - lo)
+    starts = lhs(Domain(lo, hi), N_STARTS, RngStream(START_SEED))
 
     sqdiff = _squared_differences(locs, locs)
     for nugget in (0.0, *NUGGET_LADDER):

@@ -208,6 +208,9 @@ class TestPredict:
         {"beta0": None},
         {"beta0": float("nan")},
         {"nugget": "0"},
+        {"nugget": -1e-3},
+        {"format_version": True},
+        {"format_version": 1.0},
     ])
     def test_malformed_model_is_a_validation_error(self, model_file, tmp_path, capsys,
                                                     change):
@@ -269,6 +272,7 @@ BAD_CONFIGS = [
     (SAN_CONFIG, {"methods": ["KRIG-POT"]}, "methods"),
     (SAN_CONFIG, {"methods": []}, "methods"),
     (BENCHMARK_CONFIG, {"test_points": 1}, "test_points"),
+    (SAN_CONFIG, {"test_points": 8}, "test_points"),
     (SAN_CONFIG, {"threshold_quantile": 1.0}, "threshold_quantile"),
     (SAN_CONFIG, {"alphas": [0.95], "threshold_quantile": 0.99}, "alphas"),
 ]

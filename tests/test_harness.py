@@ -231,6 +231,79 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="bug in estimate_site"):
             hn.run_experiment(cfg, threads=1)
 
+    def test_gpd_failure_fails_only_the_pot_cells_of_its_macro_rep(self, monkeypatch):
+        # Allocation 2 has 50 sites x 5 replications: the tail fits of macro-rep 0
+        # are calls 0-249, so call 260 falls inside macro-rep 1.
+        real, calls = hn.evt_risk.fit_gpd, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 261:
+                raise er.ConvergenceError("no root; bracket exhausted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hn.evt_risk, "fit_gpd", failing)
+        cfg = hn.ExperimentConfig(scenario="triangular", allocation=2, alphas=(0.95,),
+                                  macro_replications=2, seed=3, n_test=20)
+        recs = hn.run_experiment(cfg, threads=1)
+        assert len(calls) == 261  # macro-rep 1 stops fitting at the failure
+        assert len(recs) == 8  # 4 methods x 1 alpha x 2 macro-reps
+        failed = [r for r in recs if r.mape is None]
+        assert sorted((r.method, r.macro_rep) for r in failed) == [
+            (hn.POT_EMP, 1), (hn.POT_EVT, 1)]
+        digest = next(r for r in recs if r.macro_rep == 1).diagnostics.split(";")[0]
+        for r in failed:
+            assert r.diagnostics == (
+                f"{digest};error=ConvergenceError: no root, bracket exhausted")
+        for r in recs:
+            if r.mape is not None:
+                assert r.diagnostics.startswith(r.diagnostics.split(";")[0] + ";nugget=")
+                assert r.mape > 0.0
+
+    def test_singular_design_fails_only_its_own_cell(self, monkeypatch):
+        base = dict(scenario="san", san_budget=1000, alphas=(0.95, 0.99),
+                    macro_replications=1, seed=9)
+        clean = hn.run_experiment(hn.ExperimentConfig(**base), threads=1)
+        real, calls = hn.kriging.fit, []
+
+        def failing(sites):
+            calls.append(None)
+            if len(calls) == 2:  # the roster's first method at the second alpha
+                raise kg.SingularDesignError("covariance; not positive definite")
+            return real(sites)
+
+        monkeypatch.setattr(hn.kriging, "fit", failing)
+        recs = hn.run_experiment(hn.ExperimentConfig(**base), threads=1)
+        assert len(calls) == 6
+        (bad,) = [r for r in recs if r.mape is None]
+        assert (bad.method, bad.alpha) == (hn.ORD_KRG, 0.99)
+        digest = bad.diagnostics.split(";")[0]
+        assert digest.startswith("data=")
+        assert bad.diagnostics == (
+            f"{digest};error=SingularDesignError: covariance, not positive definite")
+        assert [r for r in recs if r is not bad] == [r for r in clean if r.sort_key()
+                                                    != bad.sort_key()]
+
+    def test_san_test_set_has_test_points_grid_points(self):
+        base = dict(scenario="san", san_budget=1000, alphas=(0.95,),
+                    macro_replications=1, seed=9, methods=(hn.EMP_EMP,))
+        design = hn._design_points(hn.ExperimentConfig(**base), 0)
+        for n_test in (9, 50, 200):
+            points = hn._test_set(hn.ExperimentConfig(n_test=n_test, **base), design)
+            assert len(points) == n_test - hn.SAN_DESIGN_POINTS
+        (coarse,) = hn.run_experiment(hn.ExperimentConfig(n_test=50, **base))
+        (fine,) = hn.run_experiment(hn.ExperimentConfig(n_test=200, **base))
+        assert coarse.diagnostics == fine.diagnostics
+        assert coarse.mape != fine.mape
+
+    def test_san_test_set_needs_two_points_left(self):
+        base = dict(scenario="san", san_budget=1000, alphas=(0.95,))
+        hn.ExperimentConfig(n_test=hn.SAN_DESIGN_POINTS + 2, **base).validate()
+        with pytest.raises(hn.ConfigError) as info:
+            hn.ExperimentConfig(n_test=hn.SAN_DESIGN_POINTS + 1, **base).validate()
+        assert [name for name, _ in info.value.args] == ["n_test"]
+        assert "an integer >= 9" in str(info.value)
+
     def test_benchmark_scenario_smoke(self):
         cfg = hn.ExperimentConfig(scenario="triangular", allocation=allocation_by_id(1),
                                   alphas=(0.95,), macro_replications=1, seed=5,

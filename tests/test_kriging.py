@@ -1,5 +1,6 @@
 """Tests for the stochastic-kriging surface model."""
 
+import json
 import math
 
 import numpy as np
@@ -314,3 +315,20 @@ class TestSerialization:
     def test_version_checked(self):
         with pytest.raises(ValueError):
             kg.KrigingModel.from_json('{"format_version": 99, "sites": []}')
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_integer(self, version):
+        sites = [kg.DesignSite((0.0,), 1.0, 0.1), kg.DesignSite((1.0,), 3.0, 0.2)]
+        payload = json.loads(kg.assemble(sites, tau2=1.0, theta=[1.0]).to_json())
+        with pytest.raises(ValueError, match="format version"):
+            kg.KrigingModel.from_json(json.dumps(dict(payload, format_version=version)))
+
+    def test_negative_or_nan_hyperparameters_rejected(self):
+        sites = [kg.DesignSite((0.0,), 1.0, 0.1), kg.DesignSite((1.0,), 3.0, 0.2)]
+        for tau2, theta, nugget in ((1.0, 1.0, -1e-3), (math.nan, 1.0, 0.0),
+                                    (1.0, math.nan, 0.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="nugget"):
+                kg.assemble(sites, tau2=tau2, theta=[theta], nugget=nugget)
+        payload = json.loads(kg.assemble(sites, tau2=1.0, theta=[1.0]).to_json())
+        with pytest.raises(ValueError, match="nugget"):
+            kg.KrigingModel.from_json(json.dumps(dict(payload, nugget=-1e-3)))
