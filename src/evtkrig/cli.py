@@ -27,8 +27,9 @@ budgets) is one ``harness.ExperimentConfig`` cell:
 The other keys set one field of every cell, and an absent key leaves the
 field's default: alphas, macro_replications, seed, methods, test_points
 (field ``n_test``) and threshold_quantile. ``ExperimentConfig.validate``
-enforces every field rule. Unknown keys are rejected, and every schema
-violation of every cell is reported before exit.
+enforces every field rule. Unknown keys are rejected, and so is a list that
+repeats a value, which would run one cell twice. Every schema violation of
+every cell is reported before exit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import evt_risk, harness, kriging
 from .design import Domain, equally_spaced, lhs
-from .harness import _fmt
+from .harness import _distinct, _fmt
 from .rng import RngStream
 
 ENV_PREFIX = "EVTKRIG_"
@@ -189,6 +190,9 @@ def _load_config(path: str, seed: int | None = None) -> list[harness.ExperimentC
         elif not isinstance(value, list) or not value:
             problems.append(f"{key}: must be a non-empty list, got {value!r}")
             grid[key] = []
+    for key, values in (("scenarios", scenarios), *grid.items()):
+        if isinstance(values, list) and not _distinct(values):
+            problems.append(f"{key}: must not repeat a value, got {values!r}")
 
     shared = {field: tuple(raw[key]) if isinstance(raw[key], list) else raw[key]
               for key, field in _CELL_KEYS.items() if key in raw}

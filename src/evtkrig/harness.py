@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy import special
 
 from . import evt_risk, kriging, models
 from .design import BudgetAllocation, Domain, allocation_by_id, equally_spaced, lhs
@@ -157,6 +157,11 @@ def _non_empty(value) -> bool:
     return isinstance(value, (tuple, list)) and len(value) > 0
 
 
+def _distinct(values) -> bool:
+    """No value of the sequence equals an earlier one (values need not hash)."""
+    return all(v not in values[:i] for i, v in enumerate(values))
+
+
 def _in_unit(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and 0.0 < value < 1.0)
@@ -197,15 +202,16 @@ class ExperimentConfig:
             ("scenario", self.scenario in scenarios, f"one of {scenarios}"),
             ("san_budget", self.scenario != "san"
              or (_is_int(self.san_budget) and self.san_budget >= 100), "an integer >= 100"),
-            ("alphas", _non_empty(self.alphas) and all(_in_unit(a) for a in self.alphas),
-             "a non-empty list of numbers in (0, 1)"),
+            ("alphas", _non_empty(self.alphas) and all(_in_unit(a) for a in self.alphas)
+             and _distinct(self.alphas), "a non-empty list of distinct numbers in (0, 1)"),
             ("macro_replications",
              _is_int(self.macro_replications) and self.macro_replications >= 1,
              "an integer >= 1"),
             ("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
             ("methods", self.methods is None or (
-                _non_empty(self.methods) and all(m in METHODS for m in self.methods)),
-             f"a non-empty subset of {METHODS}"),
+                _non_empty(self.methods) and all(m in METHODS for m in self.methods)
+                and _distinct(self.methods)),
+             f"a non-empty list of distinct names from {METHODS}"),
             ("n_test", _is_int(self.n_test) and self.n_test >= min_test,
              f"an integer >= {min_test}"),
             ("threshold_quantile", _in_unit(self.threshold_quantile), "a number in (0, 1)"),
@@ -422,10 +428,11 @@ def wilcoxon_signed_rank(paired_a, paired_b, side: str = "greater") -> float:
 
     ``side='greater'`` tests H1: a tends to exceed b (median difference
     > 0); ``side='less'`` the reverse; ``side='two-sided'`` doubles the
-    smaller tail. Zero differences are dropped before ranking; tied
-    absolute differences get average ranks. The null distribution is exact
-    (all 2^n sign assignments) up to n = 20 paired differences and a
-    tie-corrected normal approximation with continuity correction beyond.
+    smaller tail. Zero differences are dropped before ranking; the ranks are
+    average ranks over the tie groups of equal absolute differences. The null
+    distribution is exact (all 2^n sign assignments) up to n = 20 paired
+    differences and a tie-corrected normal approximation with continuity
+    correction beyond.
     """
     a = np.asarray(paired_a, dtype=float)
     b = np.asarray(paired_b, dtype=float)
@@ -440,7 +447,8 @@ def wilcoxon_signed_rank(paired_a, paired_b, side: str = "greater") -> float:
     if d.size == 0:
         raise ValueError("all differences are zero; the test is degenerate")
     n = d.size
-    ranks = rankdata(np.abs(d))
+    _, group, tie_counts = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[group]
     w_plus = float(ranks[d > 0].sum())
 
     if n <= 20:
@@ -459,11 +467,10 @@ def wilcoxon_signed_rank(paired_a, paired_b, side: str = "greater") -> float:
     else:
         mu = n * (n + 1) / 4.0
         var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(np.abs(d), return_counts=True)
         var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
         sd = math.sqrt(var)
-        p_ge = float(norm.sf((w_plus - mu - 0.5) / sd))
-        p_le = float(norm.cdf((w_plus - mu + 0.5) / sd))
+        p_ge = float(special.ndtr(-(w_plus - mu - 0.5) / sd))
+        p_le = float(special.ndtr((w_plus - mu + 0.5) / sd))
 
     if side == "greater":
         return p_ge

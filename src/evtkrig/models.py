@@ -21,8 +21,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import norm
+from scipy import optimize, special
 
 from .evt_risk import _check_alpha
 from .rng import RngStream
@@ -106,7 +105,10 @@ def noise_cvar(scenario: str, p, alpha: float) -> float:
     alpha = _check_alpha(alpha)
     s = _noise_scale(p)
     if scenario == "normal":
-        return s * norm.pdf(norm.ppf(alpha)) / (1.0 - alpha)
+        # scipy's normal density expression, taken on an array: numpy's exp of a
+        # float64 scalar can differ from it in the last bit.
+        z = np.array([special.ndtri(alpha)])
+        return s * (np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi))[0] / (1.0 - alpha)
     if scenario == "triangular":
         return s * (1.0 - math.sqrt(2.0 * (1.0 - alpha)) / 3.0)
     return PARETO_SHAPE / (PARETO_SHAPE - 1.0) * (2.0 + s) * (1.0 - alpha) ** (-1.0 / PARETO_SHAPE)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,7 @@ BAD_CONFIGS = [
     (SAN_CONFIG, {"version": True}, "version"),
     (SAN_CONFIG, {"scenarios": "san"}, "scenarios"),
     (SAN_CONFIG, {"scenarios": []}, "scenarios"),
+    (SAN_CONFIG, {"scenarios": ["san", "san"]}, "scenarios"),
     (BENCHMARK_CONFIG, {"scenarios": ["mars"]}, "scenarios"),
     (BENCHMARK_CONFIG, {"allocations": DROP}, "allocations"),
     (BENCHMARK_CONFIG, {"allocations": []}, "allocations"),
@@ -257,13 +262,16 @@ BAD_CONFIGS = [
     (BENCHMARK_CONFIG, {"allocations": [16]}, "allocations"),
     (BENCHMARK_CONFIG, {"allocations": [True]}, "allocations"),
     (BENCHMARK_CONFIG, {"allocations": [2.0]}, "allocations"),
+    (BENCHMARK_CONFIG, {"allocations": [1, 1]}, "allocations"),
     (SAN_CONFIG, {"san_budgets": DROP}, "san_budgets"),
     (SAN_CONFIG, {"san_budgets": 1000}, "san_budgets"),
     (BENCHMARK_CONFIG, {"san_budgets": [1000]}, "san_budgets"),
     (SAN_CONFIG, {"san_budgets": [99]}, "san_budgets"),
+    (SAN_CONFIG, {"san_budgets": [1000, 1000]}, "san_budgets"),
     (SAN_CONFIG, {"alphas": [1.5]}, "alphas"),
     (SAN_CONFIG, {"alphas": []}, "alphas"),
     (SAN_CONFIG, {"alphas": 0.99}, "alphas"),
+    (SAN_CONFIG, {"alphas": [0.99, 0.99]}, "alphas"),
     (SAN_CONFIG, {"macro_replications": 0}, "macro_replications"),
     (SAN_CONFIG, {"macro_replications": True}, "macro_replications"),
     (SAN_CONFIG, {"seed": -1}, "seed"),
@@ -271,6 +279,7 @@ BAD_CONFIGS = [
     (SAN_CONFIG, {"seed": "7"}, "seed"),
     (SAN_CONFIG, {"methods": ["KRIG-POT"]}, "methods"),
     (SAN_CONFIG, {"methods": []}, "methods"),
+    (SAN_CONFIG, {"methods": ["EMP-EMP", "EMP-EMP"]}, "methods"),
     (BENCHMARK_CONFIG, {"test_points": 1}, "test_points"),
     (SAN_CONFIG, {"test_points": 8}, "test_points"),
     (SAN_CONFIG, {"threshold_quantile": 1.0}, "threshold_quantile"),
@@ -393,3 +402,21 @@ class TestRun:
         assert {c.allocation_id for c in grid} == {1, 2, 3, 4, 5}
         assert len({c.scenario for c in grid}) == 3
         assert all(len(c.alphas) == 3 for c in grid)
+
+
+class TestImportGraph:
+    @staticmethod
+    def scipy_modules(imports):
+        """The scipy modules a fresh interpreter holds after ``import <imports>``."""
+        probe = (f"import sys, {imports}; "
+                 "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    def test_cli_imports_no_scipy_module_beyond_the_numeric_core(self):
+        # scipy.stats alone took ~0.7 s and ~22 MB of every process start. The
+        # baseline is measured, not listed, as its tree differs between releases.
+        core = self.scipy_modules("numpy, scipy.optimize, scipy.linalg, scipy.special")
+        assert self.scipy_modules("evtkrig.cli") - core == set()

@@ -106,6 +106,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             hn.ExperimentConfig(scenario="san", san_budget=1000,
                                 macro_replications=0).validate()
+        # A repeated tail level or method would fit and score one cell twice.
+        with pytest.raises(hn.ConfigError, match="alphas"):
+            hn.ExperimentConfig(scenario="san", san_budget=1000,
+                                alphas=(0.95, 0.95)).validate()
+        with pytest.raises(hn.ConfigError, match="methods"):
+            hn.ExperimentConfig(scenario="san", san_budget=1000,
+                                methods=(hn.EMP_EMP, hn.EMP_EMP)).validate()
 
     def test_validation_lists_every_violation(self):
         cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(1.2,),
@@ -372,10 +379,15 @@ class TestWilcoxon:
         rng = np.random.default_rng(14)
         a = rng.normal(0.3, 1.0, size=40)
         b = rng.normal(0.0, 1.0, size=40)
-        got = hn.wilcoxon_signed_rank(a, b, side="greater")
-        want = scipy_wilcoxon(a, b, alternative="greater", correction=True,
-                              method="approx").pvalue
-        assert got == pytest.approx(want, abs=2e-2)
+        # One decimal leaves 56 nonzero differences in 19 tie groups. Against
+        # zeros, not against a shifted copy, whose rounding would break the ties.
+        tied = np.round(rng.normal(0.3, 1.0, size=60), 1)
+        for a, b in ((a, b), (tied, np.zeros(60))):
+            for side in ("greater", "less", "two-sided"):
+                got = hn.wilcoxon_signed_rank(a, b, side=side)
+                want = scipy_wilcoxon(a, b, alternative=side, correction=True,
+                                      method="approx").pvalue
+                assert got == pytest.approx(want, rel=1e-12), side
 
     def test_compare_methods_pairs_records(self):
         records = []

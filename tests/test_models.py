@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
 
 from evtkrig import models
 from evtkrig.evt_risk import empirical_cvar
@@ -86,6 +87,14 @@ class TestTrueCvarBenchmark:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             models.true_cvar_benchmark("normal", (1.0, 1.0), 1.2)
+
+    def test_normal_oracle_is_scipy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        alphas = [0.95, 0.99, 0.995, *rng.uniform(0.5, 1.0, 10_000).tolist()]
+        points = rng.uniform(-math.pi, math.pi, size=(len(alphas), 2)).tolist()
+        for alpha, p in zip(alphas, points):
+            want = math.hypot(*p) * norm.pdf(norm.ppf(alpha)) / (1 - alpha)
+            assert models.noise_cvar("normal", p, alpha) == want, (alpha, p)
 
     def test_translation_equivariance(self):
         # Surface oracle equals trend plus the standalone noise formula.
