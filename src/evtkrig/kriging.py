@@ -13,7 +13,9 @@ form; predictions use the cached Cholesky factorization of
 The likelihood search runs L-BFGS-B over psi = (log tau^2, log theta)
 with the analytic gradient 1/2 tr((alpha alpha' - Sigma^-1) dSigma/dpsi),
 alpha = Sigma^-1 (Y - beta0) (Rasmussen & Williams 2006, sec. 5.4.1); as
-beta0 is profiled out, the gradient at fixed beta0 is exact.
+beta0 is profiled out, the gradient at fixed beta0 is exact. An evaluation
+fills Sigma's lower triangle from correlations on the k(k-1)/2 site pairs,
+factors it once, then solves and inverts with LAPACK ``dpotrs``/``dpotri``.
 
 With all intrinsic variances and nugget zero this reduces to an ordinary
 interpolating kriging model.
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg import blas, lapack
 
 from .design import Domain, lhs
 from .rng import RngStream
@@ -86,17 +89,21 @@ def kernel(a, b, theta) -> float:
     if np.any(theta <= 0.0):
         raise ValueError("kernel rates must be positive")
     d = a - b
-    return float(np.exp(-np.sum(theta * d * d)))
+    return float(_correlation(d * d, theta))
 
 
-def _squared_differences(x: np.ndarray, locs: np.ndarray) -> np.ndarray:
-    """(x_i - locs_j)^2 per coordinate, shape (m, k, d)."""
-    diff = x[:, None, :] - locs[None, :, :]
-    return diff * diff
+def _site_pairs(locs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Site pairs i > j as flat indices i + k j of a Fortran-ordered k x k array,
+    and their squared differences, shape (k(k-1)/2, d)."""
+    k = len(locs)
+    rows, cols = np.tril_indices(k, -1)
+    diff = locs[rows] - locs[cols]
+    return rows + k * cols, diff * diff
 
 
 def _correlation(sqdiff: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return np.exp(-np.einsum("ijk,k->ij", sqdiff, theta))
+    """The Gaussian kernel on squared differences whose last axis is the coordinate."""
+    return np.exp(-(sqdiff @ theta))
 
 
 def _site_arrays(sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,7 +129,7 @@ class KrigingModel:
     intrinsic: np.ndarray
     nugget: float
     loglik: float
-    _chol: tuple = field(repr=False)
+    _chol: np.ndarray = field(repr=False)  # lower Cholesky factor of Sigma
     _weights: np.ndarray = field(repr=False)  # Sigma^-1 (Y - beta0)
 
     @property
@@ -138,10 +145,10 @@ class KrigingModel:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.dim:
             raise ValueError(f"query dimension {x.shape[1]} != design dimension {self.dim}")
-        cross = self.tau2 * _correlation(_squared_differences(x, self.locations),
-                                         self.theta)
+        diff = x[:, None, :] - self.locations[None, :, :]
+        cross = self.tau2 * _correlation(diff * diff, self.theta)
         mean = self.beta0 + cross @ self._weights
-        solved = linalg.cho_solve(self._chol, cross.T, check_finite=False)
+        solved, _ = lapack.dpotrs(self._chol, cross.T, lower=1)
         var = self.tau2 - np.einsum("ij,ji->i", cross, solved)
         return mean, np.sqrt(np.maximum(var, 0.0))
 
@@ -200,22 +207,24 @@ def _numbers(values, name: str) -> list[float]:
     return [_number(v, name) for v in values]
 
 
-def _covariance(sqdiff, intr, tau2, theta, nugget):
-    """Sigma from the sites' squared differences (see _squared_differences)."""
-    sigma = tau2 * (_correlation(sqdiff, theta) + nugget * np.eye(len(intr)))
-    sigma[np.diag_indices_from(sigma)] += intr
-    return sigma
+def _covariance(pairs, dpairs, intr, tau2, theta, nugget):
+    """Sigma, Fortran-ordered with a zero upper triangle, and its entries at ``pairs``."""
+    k = len(intr)
+    lower = tau2 * _correlation(dpairs, theta)
+    entries = np.zeros(k * k)
+    entries[pairs] = lower
+    entries[::k + 1] = tau2 * (1.0 + nugget) + intr
+    return entries.reshape((k, k), order="F"), lower
 
 
 def _profile_pieces(chol, resp, beta0=None):
-    ones = np.ones_like(resp)
-    s_ones = linalg.cho_solve(chol, ones, check_finite=False)
+    """beta0 (profiled when None), Sigma^-1 (Y - beta0) and the loglik from chol."""
     if beta0 is None:
-        s_resp = linalg.cho_solve(chol, resp, check_finite=False)
-        beta0 = float(ones @ s_resp) / float(ones @ s_ones)
+        solved, _ = lapack.dpotrs(chol, np.array([np.ones_like(resp), resp]).T, lower=1)
+        beta0 = float(solved[:, 1].sum() / solved[:, 0].sum())
     resid = resp - beta0
-    weights = linalg.cho_solve(chol, resid, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    weights, _ = lapack.dpotrs(chol, resid, lower=1)
+    logdet = 2.0 * float(np.log(chol.diagonal()).sum())
     ll = (-0.5 * len(resp) * math.log(2.0 * math.pi) - 0.5 * logdet
           - 0.5 * float(resid @ weights))
     return beta0, weights, ll
@@ -240,10 +249,10 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
         raise ValueError("theta dimension must match the location dimension")
     if not (np.all(theta > 0.0) and tau2 > 0.0 and nugget >= 0.0):  # NaN fails too
         raise ValueError("tau2 and every theta must be positive, the nugget nonnegative")
-    sigma = _covariance(_squared_differences(locs, locs), intr, float(tau2), theta,
-                        float(nugget))
+    pairs, dpairs = _site_pairs(locs)
+    sigma, _ = _covariance(pairs, dpairs, intr, float(tau2), theta, float(nugget))
     try:
-        chol = linalg.cho_factor(sigma, lower=True, check_finite=False)
+        chol, _ = linalg.cho_factor(sigma, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularDesignError(f"covariance not positive definite: {exc}")
     beta0, weights, ll = _profile_pieces(chol, resp, beta0)
@@ -252,29 +261,31 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
                         nugget=float(nugget), loglik=ll, _chol=chol, _weights=weights)
 
 
-def _neg_profile_loglik(params, sqdiff, resp, intr, nugget) -> tuple[float, np.ndarray]:
+def _neg_profile_loglik(params, pairs, dpairs, resp, intr, nugget) -> tuple[float, np.ndarray]:
     """Negative profile log-likelihood at params = (log tau^2, log theta) and its
-    gradient; (1e300, 0) when the covariance does not factor.
+    gradient; (1e300, 0) when the covariance does not factor. Sigma is built on the
+    ``_site_pairs`` and factored once; ``dpotrs`` solves and ``dpotri`` inverts it.
 
     With W = alpha alpha' - Sigma^-1, the log-likelihood gradient is
     1/2 tr(W dSigma/dpsi), where dSigma/dlog tau^2 = tau^2 (R + nugget I) and
     dSigma/dlog theta_j = -theta_j tau^2 R o D_j (D_j: squared differences in
     coordinate j). Off the diagonal tau^2 R equals Sigma; on it, tau^2 (1 + nugget).
+    W and dSigma/dpsi are symmetric: off the diagonal the trace is twice the pair sum.
     """
     tau2, theta = math.exp(params[0]), np.exp(params[1:])
-    sigma = _covariance(sqdiff, intr, tau2, theta, nugget)
+    sigma, lower = _covariance(pairs, dpairs, intr, tau2, theta, nugget)
     try:
-        chol = linalg.cho_factor(sigma, lower=True, check_finite=False)
+        chol, _ = linalg.cho_factor(sigma, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError:
         return 1e300, np.zeros_like(params)
     _, alpha, ll = _profile_pieces(chol, resp)
-    w = np.outer(alpha, alpha) - linalg.cho_solve(chol, np.eye(len(resp)),
-                                                  check_finite=False)
-    off = w * sigma
-    np.fill_diagonal(off, 0.0)
+    # -W = Sigma^-1 - alpha alpha', lower triangle: dpotri, then a rank-one update.
+    neg_w, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
+    neg_w = blas.dsyr(-1.0, alpha, lower=1, a=neg_w, overwrite_a=1)
+    neg_off = neg_w.reshape(-1, order="F")[pairs] * lower
     grad = np.empty_like(params)
-    grad[0] = -0.5 * (off.sum() + tau2 * (1.0 + nugget) * np.trace(w))
-    grad[1:] = 0.5 * theta * np.einsum("ij,ijk->k", off, sqdiff)
+    grad[0] = neg_off.sum() + 0.5 * tau2 * (1.0 + nugget) * neg_w.diagonal().sum()
+    grad[1:] = -theta * (neg_off @ dpairs)
     return -ll, grad
 
 
@@ -306,28 +317,27 @@ def fit(sites) -> KrigingModel:
     """
     sites = list(sites)
     locs, resp, intr = _site_arrays(sites)
-    k = locs.shape[0]
-    if k < 2:
+    if len(locs) < 2:
         raise ValueError("need at least 2 design sites")
     # Exact duplicates with no intrinsic noise make Sigma singular at nugget 0
     # and non-informative at any nugget; reject explicitly.
-    order = np.lexsort(locs.T)
-    for a, b in zip(order[:-1], order[1:]):
-        if np.array_equal(locs[a], locs[b]) and intr[a] == 0.0 and intr[b] == 0.0:
-            raise SingularDesignError(
-                f"duplicate design sites {tuple(locs[a])} with zero intrinsic variance")
+    zero = locs[intr == 0.0]
+    zero = zero[np.lexsort(zero.T)]
+    same = np.flatnonzero((zero[1:] == zero[:-1]).all(axis=1))
+    if same.size:
+        raise SingularDesignError(f"duplicate design sites {tuple(map(float, zero[same[0]]))} "
+                                  "with zero intrinsic variance")
 
     lo, hi = _search_box(locs, resp)
     starts = lhs(Domain(lo, hi), N_STARTS, RngStream(START_SEED))
 
-    sqdiff = _squared_differences(locs, locs)
+    pairs, dpairs = _site_pairs(locs)
     for nugget in (0.0, *NUGGET_LADDER):
         best_x, best_f = None, math.inf
         for x0 in starts:
-            res = optimize.minimize(_neg_profile_loglik, x0, jac=True,
-                                    args=(sqdiff, resp, intr, nugget), method="L-BFGS-B",
-                                    bounds=list(zip(lo, hi)),
-                                    options={"maxiter": MAX_ITER})
+            res = optimize.minimize(_neg_profile_loglik, x0, jac=True, method="L-BFGS-B",
+                                    args=(pairs, dpairs, resp, intr, nugget),
+                                    bounds=list(zip(lo, hi)), options={"maxiter": MAX_ITER})
             if res.fun < best_f:
                 best_x, best_f = res.x, float(res.fun)
         if best_x is None or best_f >= 1e299:
@@ -337,8 +347,10 @@ def fit(sites) -> KrigingModel:
                              nugget=nugget)
         except SingularDesignError:
             continue
-        sigma = _covariance(sqdiff, intr, model.tau2, model.theta, nugget)
+        sigma, _ = _covariance(pairs, dpairs, intr, model.tau2, model.theta, nugget)
         resid = resp - model.beta0
+        # Row-major: at rounding level the summation order of Sigma w can decide a nugget.
+        sigma = np.ascontiguousarray(sigma + np.tril(sigma, -1).T)
         if np.abs(sigma @ model._weights - resid).max() <= SOLVE_RTOL * np.abs(resid).max():
             return model
     raise SingularDesignError("no usable covariance after nugget escalation: likelihood "

@@ -100,6 +100,16 @@ class TestFit:
         with pytest.raises(kg.SingularDesignError):
             kg.fit(sites)
 
+    @pytest.mark.parametrize("noisy_at", [1, 3])
+    def test_duplicate_noiseless_sites_rejected_whatever_the_order(self, noisy_at):
+        # A noisy site at the same location must not hide the zero-noise pair,
+        # whether or not it sorts between them.
+        sites = [kg.DesignSite((0.0,), 1.0), kg.DesignSite((0.0,), 3.0),
+                 kg.DesignSite((1.0,), 0.5)]
+        sites.insert(noisy_at, kg.DesignSite((0.0,), 2.0, 0.1))
+        with pytest.raises(kg.SingularDesignError, match=r"sites \(0\.0,\) with"):
+            kg.fit(sites)
+
     def test_duplicate_sites_with_noise_allowed(self):
         sites = [kg.DesignSite((1.0,), 2.0, 0.5), kg.DesignSite((1.0,), 3.0, 0.5),
                  kg.DesignSite((2.0,), 4.0, 0.5)]
@@ -214,6 +224,10 @@ class TestLikelihood:
             kg.log_likelihood(sites, tau2, [theta])
 
 
+# Small designs, and designs as large as the benchmark's k = 50 site sets.
+DESIGN_SIZES = st.integers(2, 12) | st.integers(40, 60)
+
+
 def noisy_designs():
     """Sites, fixed hyperparameters and query points of random noisy designs.
 
@@ -231,8 +245,30 @@ def noisy_designs():
                  for loc, v, n in zip(rng.random((k, d)), y, noise)]
         return sites, tau2, theta, rng.random((6, d))
 
-    return st.tuples(st.integers(2, 12), st.integers(1, 3),
-                     st.integers(0, 2**32 - 1)).map(build)
+    return st.tuples(DESIGN_SIZES, st.integers(1, 3), st.integers(0, 2**32 - 1)).map(build)
+
+
+def separated_designs():
+    """Sites, fixed hyperparameters and query points of random zero-noise designs.
+
+    The sites sit one to a cell of a jittered grid of n cells per axis, at least
+    0.5 / n apart in some coordinate, and every rate is at least 2 n^2, so
+    neighbouring sites correlate at most exp(-1/2) and the covariance stays
+    well conditioned at any ladder nugget, 0 included.
+    """
+    def build(args):
+        k, d, seed = args
+        rng = np.random.default_rng(seed)
+        n = math.ceil(k ** (1.0 / d))
+        cells = np.array(np.unravel_index(rng.permutation(n**d)[:k], (n,) * d)).T
+        locs = (cells + rng.uniform(0.25, 0.75, size=(k, d))) / n
+        tau2 = float(10.0 ** rng.uniform(-1.0, 1.0))
+        theta = 2.0 * n**2 * 10.0 ** rng.uniform(0.0, 1.0, size=d)
+        y = rng.normal(0.0, 3.0, size=k)
+        sites = [kg.DesignSite(tuple(map(float, loc)), float(v)) for loc, v in zip(locs, y)]
+        return sites, tau2, theta, rng.random((6, d))
+
+    return st.tuples(DESIGN_SIZES, st.integers(1, 3), st.integers(0, 2**32 - 1)).map(build)
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -272,13 +308,13 @@ class TestLikelihoodGradient:
     """The search objective returns the exact gradient of the profile likelihood."""
 
     @PROPERTY_SETTINGS
-    @given(design=noisy_designs(), nugget=st.sampled_from((0.0, *kg.NUGGET_LADDER)))
+    @given(design=st.one_of(noisy_designs(), separated_designs()),
+           nugget=st.sampled_from((0.0, *kg.NUGGET_LADDER)))
     def test_gradient_matches_central_differences(self, design, nugget):
         sites, tau2, theta, _ = design
         locs, resp, intr = kg._site_arrays(sites)
         psi = np.log(np.concatenate(([tau2], theta)))
-        value, grad = kg._neg_profile_loglik(psi, kg._squared_differences(locs, locs),
-                                             resp, intr, nugget)
+        value, grad = kg._neg_profile_loglik(psi, *kg._site_pairs(locs), resp, intr, nugget)
 
         def loglik(p):
             return kg.log_likelihood(sites, math.exp(p[0]), np.exp(p[1:]), nugget=nugget)
@@ -294,8 +330,8 @@ class TestLikelihoodGradient:
         sites = [kg.DesignSite((1.0,), 2.0), kg.DesignSite((1.0,), 3.0),
                  kg.DesignSite((2.0,), 4.0)]
         locs, resp, intr = kg._site_arrays(sites)
-        value, grad = kg._neg_profile_loglik(np.zeros(2), kg._squared_differences(locs, locs),
-                                             resp, intr, 0.0)
+        value, grad = kg._neg_profile_loglik(np.zeros(2), *kg._site_pairs(locs), resp, intr,
+                                             0.0)
         assert value == 1e300
         assert grad.shape == (2,) and np.all(np.isfinite(grad))
 
