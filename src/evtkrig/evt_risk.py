@@ -21,6 +21,7 @@ constant-spectrum special case.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -95,8 +96,13 @@ class HeavyTailError(RiskError):
     """Fitted shape >= 1: the tail mean (and hence CVaR) is infinite."""
 
 
-class TailOrderError(ValueError):
-    """Requested level lies below the threshold level of the fit."""
+class TailOrderError(RiskError, ValueError):
+    """Requested level lies below the threshold level of the fit.
+
+    Ties at the threshold can leave a fit's exceedance fraction short of a
+    level the configuration admits, so this is a :class:`RiskError` that
+    fails only its own cell; it stays a ``ValueError`` for direct callers.
+    """
 
 
 class HeavyTailWarning(UserWarning):
@@ -158,11 +164,16 @@ def as_sample(values) -> np.ndarray:
     return x
 
 
+def _in_unit(value) -> bool:
+    """A real number (not a bool or a string) strictly inside (0, 1)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 < value < 1.0)
+
+
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {alpha}")
-    return alpha
+    if not _in_unit(alpha):
+        raise ValueError(f"{name} must lie in (0, 1), got {alpha!r}")
+    return float(alpha)
 
 
 def empirical_var(sample, alpha: float) -> float:
@@ -283,18 +294,6 @@ def gpd_hessian(xi: float, beta: float, z):
     return d_xx, d_xb, d_bb
 
 
-def _negloglik(xi: float, beta: float, z: np.ndarray, z_max: float) -> float:
-    """Negative GPD log-likelihood; +inf outside the support constraint."""
-    if beta <= 0.0:
-        return math.inf
-    if xi < 0.0 and 1.0 + xi * z_max / beta <= 0.0:
-        return math.inf
-    n = z.size
-    if abs(xi) < XI_ZERO_EPS:
-        return n * math.log(beta) + float(z.sum()) / beta
-    return n * math.log(beta) + (1.0 + 1.0 / xi) * float(np.log1p(xi * z / beta).sum())
-
-
 def _profile(tau: float, w: np.ndarray) -> tuple[float, float, float]:
     """Grimshaw's profile likelihood along the ray xi / beta = theta.
 
@@ -318,57 +317,32 @@ def _profile(tau: float, w: np.ndarray) -> tuple[float, float, float]:
             float((w * w) @ dh) / (n * b) + float((w / (1.0 + u)).sum()) / n)
 
 
-def _tau_range(w: np.ndarray, lbeta_lo: float, lbeta_hi: float) -> tuple[float, float]:
-    """The tau interval on which the profile stays inside the search box.
+def _box_profile(tau: float, w: np.ndarray, b_lo: float,
+                 b_hi: float) -> tuple[float, float, float, float]:
+    """The best point of the search box on the ray of :func:`_profile`.
 
-    xi(tau) increases and beta(tau) decreases with tau, and tau = 0 (the
-    exponential fit, xi = 0 and beta = mean(z)) is always inside, so each
-    end is the nearer of the two roots xi = XI_BOUNDS and log beta = box
-    edge. ``lbeta_lo`` and ``lbeta_hi`` are in units of z_max.
+    On the ray tau the negative log-likelihood per exceedance is
+    F(b) = log b + xi(tau) + b(tau) / b in b = beta / z_max, where xi(tau)
+    and b(tau) are the profile point. F has its one minimum at b(tau), and
+    the box cuts the ray to b in [b_lo, min(b_hi, xi_edge / tau)], with
+    xi_edge the shape face on the side of tau. So the box optimum on the ray
+    is the profile point with b clipped to that interval. Returns
+    (xi, b, F, dF/dtau). On a clip, dF/dtau holds the clipped coordinate
+    fixed: xi on a shape face, b on a scale face. F is stationary in b at
+    the clip, so dF/dtau is continuous across it.
     """
-    n = w.size
-
-    def shape(t: float) -> float:
-        return float(np.log1p(t * w).sum()) / n
-
-    def log_scale(t: float) -> float:
-        return math.log(shape(t) / t if t != 0.0 else float(w.sum()) / n)
-
-    lo, hi = -1.0 + 1e-12, 1.0
-    while shape(hi) < XI_BOUNDS[1] and log_scale(hi) > lbeta_lo:
-        hi *= 10.0
-    if shape(lo) < XI_BOUNDS[0]:
-        lo = optimize.brentq(lambda t: shape(t) - XI_BOUNDS[0], lo, 0.0)
-    if log_scale(lo) > lbeta_hi:
-        lo = optimize.brentq(lambda t: log_scale(t) - lbeta_hi, lo, 0.0)
-    if shape(hi) > XI_BOUNDS[1]:
-        hi = optimize.brentq(lambda t: shape(t) - XI_BOUNDS[1], 0.0, hi)
-    if log_scale(hi) < lbeta_lo:
-        hi = optimize.brentq(lambda t: log_scale(t) - lbeta_lo, 0.0, hi)
-    return lo, hi
-
-
-def _face_log_scale(xi: float, z: np.ndarray, z_max: float,
-                    lbeta_lo: float, lbeta_hi: float) -> float | None:
-    """The log beta that maximizes the likelihood at fixed shape ``xi``.
-
-    The scale score times beta, mean(z (1 + xi) / (beta + xi z)) - 1,
-    decreases in beta, so the maximum is its root, clamped to the scale box
-    and to the support constraint beta > -xi z_max. None when no scale in
-    the box satisfies the support constraint.
-    """
-    lo = lbeta_lo if xi >= 0.0 else max(lbeta_lo, math.log(-xi * z_max) + 1e-12)
-    if lo >= lbeta_hi:
-        return None
-
-    def scaled_score(lb: float) -> float:
-        return (1.0 + xi) * float((z / (math.exp(lb) + xi * z)).sum()) / z.size - 1.0
-
-    if scaled_score(lo) <= 0.0:
-        return lo
-    if scaled_score(lbeta_hi) >= 0.0:
-        return lbeta_hi
-    return optimize.brentq(scaled_score, lo, lbeta_hi)
+    xi, b_p, grad = _profile(tau, w)
+    xi_edge = XI_BOUNDS[1] if tau > 0.0 else XI_BOUNDS[0]
+    b_shape = xi_edge / tau if tau != 0.0 else math.inf
+    b = min(max(b_p, b_lo), b_hi, b_shape)
+    if b == b_p:
+        return xi, b, math.log(b) + xi + 1.0, grad
+    # S'(tau) for S = xi(tau) = mean(log1p(tau w)); grad - S' is b'(tau) / b(tau).
+    ds = float((w / (1.0 + tau * w)).sum()) / w.size
+    f = math.log(b) + xi + b_p / b
+    if b == b_shape:
+        return xi_edge, b, f, ds * (1.0 + 1.0 / xi_edge) - 1.0 / tau
+    return tau * b, b, f, ds + (grad - ds) * b_p / b
 
 
 def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
@@ -378,15 +352,12 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
     The search box is XI_BOUNDS for the shape and LOG_BETA_SPAN around
     log(mean(z)) for the scale; the support constraint
     1 + xi * z_max / beta > 0 holds throughout. Grimshaw's (1993)
-    reduction turns the search into one-dimensional problems, and the best
-    of three candidates is kept:
-
-    * the interior optimum of the profile likelihood over theta = xi / beta
-      (see :func:`_profile`), with theta limited to the interval whose
-      profile point lies inside the box (L-BFGS-B on the closed-form
-      profile derivative, solved to stationarity);
-    * the best scale on each shape face xi = XI_BOUNDS[0] and
-      xi = XI_BOUNDS[1] (a root of the scale score).
+    reduction turns the search into one dimension: every point of the box
+    lies on one ray xi / beta = theta, and the best point on each ray is
+    the profile point clipped to the box (see :func:`_box_profile`). One
+    L-BFGS-B search of this clipped profile over s = log1p(theta z_max),
+    on its closed-form C^1 derivative and solved to stationarity, covers
+    the interior and every face of the box.
 
     Fits within 1e-6 of the box edge are flagged ``boundary``; interior
     fits must pass a gradient check on the full (xi, beta) score.
@@ -407,27 +378,21 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
     lbeta_lo, lbeta_hi = math.log(beta0) - LOG_BETA_SPAN, math.log(beta0) + LOG_BETA_SPAN
 
     w = z / z_max
-    log_z_max = math.log(z_max)
-    tau_lo, tau_hi = _tau_range(w, lbeta_lo - log_z_max, lbeta_hi - log_z_max)
+    b_lo, b_hi = math.exp(lbeta_lo) / z_max, math.exp(lbeta_hi) / z_max
 
-    def profile_objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        xi_t, b_t, grad = _profile(float(x[0]), w)
-        return math.log(b_t) + xi_t + 1.0, np.array([grad])
+    def objective(s: np.ndarray) -> tuple[float, np.ndarray]:
+        _, _, f, grad = _box_profile(math.expm1(float(s[0])), w, b_lo, b_hi)
+        return f, np.array([grad * math.exp(float(s[0]))])
 
-    # With ftol=0 only the projected-gradient test (or a step with no decrease)
-    # ends the search; the default ftol stops before the gradient check passes.
-    res = optimize.minimize(profile_objective, [0.0], jac=True, bounds=[(tau_lo, tau_hi)],
-                            method="L-BFGS-B", options={"ftol": 0.0, "gtol": 1e-10})
-    xi_p, b_p, _ = _profile(float(res.x[0]), w)
-    candidates = [(xi_p, z_max * b_p)]
-    for xi_face in XI_BOUNDS:
-        lb = _face_log_scale(xi_face, z, z_max, lbeta_lo, lbeta_hi)
-        if lb is not None:
-            candidates.append((xi_face, math.exp(lb)))
-    best_nll, xi_hat, beta_hat = min(
-        (_negloglik(xi_c, beta_c, z, z_max), xi_c, beta_c) for xi_c, beta_c in candidates)
-    if not math.isfinite(best_nll):
-        raise ConvergenceError("no GPD likelihood candidate inside the search box")
+    # A ray meets the box iff tau <= XI_BOUNDS[1] / b_lo; b_lo <= 1e-3, so the
+    # support tau > -1 is the lower end. With ftol=0 only the projected-gradient
+    # test (or a step with no decrease) ends the search; the default ftol stops
+    # before the gradient check passes.
+    res = optimize.minimize(objective, [0.0], jac=True, method="L-BFGS-B",
+                            bounds=[(math.log(1e-12), math.log1p(XI_BOUNDS[1] / b_lo))],
+                            options={"ftol": 0.0, "gtol": 1e-10})
+    xi_hat, b_hat, _, _ = _box_profile(math.expm1(float(res.x[0])), w, b_lo, b_hi)
+    beta_hat = z_max * b_hat
 
     boundary = (xi_hat - XI_BOUNDS[0] < 1e-6 or XI_BOUNDS[1] - xi_hat < 1e-6
                 or math.log(beta_hat) - lbeta_lo < 1e-6 or lbeta_hi - math.log(beta_hat) < 1e-6)
@@ -447,7 +412,7 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
 
     return GpdFit(u=float(u), n_total=int(n_total), n_exceed=n_u,
                   zeta=n_u / float(n_total), xi=xi_hat, beta=beta_hat, info=info,
-                  loglik=-_negloglik(xi_hat, beta_hat, z, z_max), boundary=boundary,
+                  loglik=float(gpd_logpdf(xi_hat, beta_hat, z).sum()), boundary=boundary,
                   threshold_quantile=threshold_quantile)
 
 

@@ -35,6 +35,7 @@ from scipy import special
 
 from . import evt_risk, kriging, models
 from .design import BudgetAllocation, Domain, allocation_by_id, equally_spaced, lhs
+from .evt_risk import _in_unit
 from .rng import RngStream
 
 __all__ = [
@@ -160,11 +161,6 @@ def _non_empty(value) -> bool:
 def _distinct(values) -> bool:
     """No value of the sequence equals an earlier one (values need not hash)."""
     return all(v not in values[:i] for i, v in enumerate(values))
-
-
-def _in_unit(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0.0 < value < 1.0)
 
 
 class ConfigError(ValueError):

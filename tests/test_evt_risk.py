@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 from evtkrig import evt_risk as er
 
@@ -44,8 +44,11 @@ class TestEmpiricalVar:
                 assert np.mean(x <= below.max()) < alpha
 
     def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            er.empirical_var([1.0, 2.0], 0.0)
+        # The one alpha check rejects what the config schema rejects: strings
+        # and bools too, not only numbers outside (0, 1).
+        for alpha in (0.0, 1.0, float("nan"), "0.5", True):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got "):
+                er.empirical_var([1.0, 2.0], alpha)
 
 
 class TestEmpiricalCvar:
@@ -275,6 +278,75 @@ class TestFitGpd:
         # theta -> 0 limit: F'(0) = m1 - m2 / (2 m1) in the moments of w.
         m1, m2 = w.mean(), (w * w).mean()
         assert er._profile(0.0, w)[2] == pytest.approx(m1 - m2 / (2 * m1), rel=1e-12)
+
+    def test_box_profile_is_c1_across_every_clip(self):
+        rng = np.random.default_rng(13)
+        w = rng.uniform(0.01, 1.0, size=200)
+        w[0] = 1.0
+        m = w.mean()
+        neg, pos = (-1.0 + 1e-12, 0.0), (0.0, 1e3)
+
+        def crossing(coord, edge, bracket):
+            return optimize.brentq(lambda t: er._profile(t, w)[coord] - edge, *bracket)
+
+        # (b_lo, b_hi, tau at the clip, +1 if the clip is above it, clipped coordinate, edge)
+        upper_shape = (1e-3 * m, 1e3 * m, crossing(0, er.XI_BOUNDS[1], pos), 1, 0,
+                       er.XI_BOUNDS[1])
+        lower_shape = (1e-3 * m, 1e3 * m, crossing(0, er.XI_BOUNDS[0], neg), -1, 0,
+                       er.XI_BOUNDS[0])
+        lower_scale = (0.6 * m, 1e3 * m, crossing(1, 0.6 * m, pos), 1, 1, 0.6 * m)
+        upper_scale = (1e-3 * m, 1.2 * m, crossing(1, 1.2 * m, neg), -1, 1, 1.2 * m)
+        for b_lo, b_hi, tau_c, side, coord, edge in (upper_shape, lower_shape,
+                                                     lower_scale, upper_scale):
+            def box(t):
+                return er._box_profile(t, w, b_lo, b_hi)
+
+            step = 1e-3 * (1.0 + abs(tau_c))
+            inside, clipped = box(tau_c - side * step), box(tau_c + side * step)
+            assert inside[:2] == er._profile(tau_c - side * step, w)[:2]
+            assert clipped[coord] == pytest.approx(edge, rel=1e-15)
+            # Only the named coordinate is clipped.
+            assert (b_lo < clipped[1] < b_hi if coord == 0
+                    else er.XI_BOUNDS[0] < clipped[0] < er.XI_BOUNDS[1])
+            for t in (tau_c - side * step, tau_c + side * step):
+                h = 1e-6 * (1.0 + abs(t))
+                fd = (box(t + h)[2] - box(t - h)[2]) / (2 * h)
+                assert box(t)[3] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            # Value and derivative are continuous at the clip.
+            delta = 1e-9 * (1.0 + abs(tau_c))
+            below, above = box(tau_c - delta), box(tau_c + delta)
+            assert above[2] == pytest.approx(below[2], abs=4 * delta * (1.0 + abs(below[3])))
+            assert above[3] == pytest.approx(below[3], rel=1e-6, abs=1e-9)
+
+    def test_face_fits_are_optimal_along_their_face(self):
+        # Shapes far above XI_BOUNDS[1] put the fit on the upper shape face, on
+        # the lower scale face (xi = 2, seed 3) or at the corner of the two.
+        # Per exceedance, the score along a face must vanish; at the corner
+        # both partials must point out of the box.
+        seen = set()
+        for xi in (2.0, 3.0, 5.0):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                z = gpd_draws(xi, 1.0, int(rng.integers(er.MIN_EXCEEDANCES, 501)), rng)
+                try:
+                    fit = er.fit_gpd_exceedances(z)
+                except er.SingularInformationError:
+                    continue
+                s_xi, s_beta = er.gpd_score(fit.xi, fit.beta, z)
+                s_xi, s_lbeta = s_xi.mean(), fit.beta * s_beta.mean()
+                on_shape = er.XI_BOUNDS[1] - fit.xi < 1e-6
+                on_scale = math.log(fit.beta / z.mean()) + er.LOG_BETA_SPAN < 1e-6
+                assert fit.boundary and (on_shape or on_scale)
+                if on_shape and on_scale:
+                    seen.add("corner")
+                    assert s_xi > -1e-8 and s_lbeta < 1e-8
+                elif on_shape:
+                    seen.add("shape")
+                    assert abs(s_lbeta) < 1e-8, (xi, seed)
+                else:
+                    seen.add("scale")
+                    assert abs(s_xi) < 1e-8, (xi, seed)
+        assert seen == {"corner", "shape", "scale"}
 
 
 def gpd_or_bounded_exceedances():

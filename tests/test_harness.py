@@ -267,6 +267,30 @@ class TestRunExperiment:
                 assert r.diagnostics.startswith(r.diagnostics.split(";")[0] + ";nugget=")
                 assert r.mape > 0.0
 
+    def test_ties_at_the_threshold_fail_only_the_levels_they_uncover(self, monkeypatch):
+        # Twenty ties at one site's 0.9 quantile leave 191 strict exceedances of
+        # 2,000, so the fit's threshold level 0.9045 lies above alpha = 0.9,
+        # which the config admits.
+        real = hn._simulate_site
+
+        def tied(config, location, macro_rep, site_index):
+            samples = real(config, location, macro_rep, site_index)
+            if site_index == 3:
+                order = np.argsort(samples[0])
+                samples[0][order[1789:1809]] = samples[0][order[1799]]
+            return samples
+
+        monkeypatch.setattr(hn, "_simulate_site", tied)
+        cfg = hn.ExperimentConfig(scenario="san", san_budget=2000, alphas=(0.9, 0.95),
+                                  macro_replications=1, seed=9)
+        recs = hn.run_experiment(cfg, threads=1)
+        assert len(recs) == 6  # 3 methods x 2 alphas
+        failed = [r for r in recs if r.mape is None]
+        assert [(r.method, r.alpha) for r in failed] == [(hn.POT_EVT, 0.9)]
+        assert failed[0].diagnostics.endswith(
+            ";error=TailOrderError: alpha=0.9 lies below the threshold level 0.9045")
+        assert issubclass(er.TailOrderError, ValueError)
+
     def test_singular_design_fails_only_its_own_cell(self, monkeypatch):
         base = dict(scenario="san", san_budget=1000, alphas=(0.95, 0.99),
                     macro_replications=1, seed=9)
