@@ -268,7 +268,11 @@ class TestFitGpd:
         w = rng.uniform(0.01, 1.0, size=200)
         w[0] = 1.0
         h = 1e-6
-        for tau in (-0.9, -0.3, -1e-3, -5e-5, 0.0, 5e-5, 1e-3, 0.7, 25.0):
+        # The series branch covers |tau| < 1e-4; the taus around +-1e-4 sit one
+        # float either side of the switch.
+        switch = [t for edge in (-1e-4, 1e-4)
+                  for t in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2 * edge))]
+        for tau in (-0.9, -0.3, -1e-3, -5e-5, 0.0, 5e-5, 1e-3, 0.7, 25.0, *switch):
             xi, b, grad = er._profile(tau, w)
             up, dn = er._profile(tau + h, w), er._profile(tau - h, w)
             fd = (math.log(up[1]) + up[0] - math.log(dn[1]) - dn[0]) / (2 * h)
@@ -278,6 +282,13 @@ class TestFitGpd:
         # theta -> 0 limit: F'(0) = m1 - m2 / (2 m1) in the moments of w.
         m1, m2 = w.mean(), (w * w).mean()
         assert er._profile(0.0, w)[2] == pytest.approx(m1 - m2 / (2 * m1), rel=1e-12)
+        # xi, b and dF/dtau are continuous where the series takes over; b, which
+        # sets the fitted scale, to round-off.
+        for inner, edge, outer in (switch[:3], switch[3:]):
+            for tau in (edge, outer):
+                assert er._profile(tau, w) == pytest.approx(er._profile(inner, w), rel=1e-10)
+                assert er._profile(tau, w)[1] == pytest.approx(er._profile(inner, w)[1],
+                                                               rel=1e-14, abs=0.0)
 
     def test_box_profile_is_c1_across_every_clip(self):
         rng = np.random.default_rng(13)
@@ -347,6 +358,74 @@ class TestFitGpd:
                     seen.add("scale")
                     assert abs(s_xi) < 1e-8, (xi, seed)
         assert seen == {"corner", "shape", "scale"}
+
+
+class TestSlopeSolve:
+    """The bracketed slope solve behind the GPD fit, on synthetic C^1 functions."""
+
+    @staticmethod
+    def solve(slope, antiderivative, lo, hi):
+        """Run the solve through ``minimize``; return (result, objective calls)."""
+        calls = []
+
+        def fun(s):
+            calls.append(float(s[0]))
+            return antiderivative(float(s[0])), np.array([slope(float(s[0]))])
+
+        res = optimize.minimize(fun, [0.0], jac=True, method=er._slope_solve,
+                                bounds=[(lo, hi)])
+        return res, len(calls)
+
+    def test_positive_slope_ends_at_the_lower_bound(self):
+        res, _ = self.solve(lambda s: 1.0 + 0.5 * math.cos(s),
+                            lambda s: s + 0.5 * math.sin(s), -27.6, 9.2)
+        assert res.x[0] == -27.6
+
+    def test_negative_slope_ends_at_the_upper_bound(self):
+        res, _ = self.solve(lambda s: -math.exp(-s), lambda s: math.exp(-s), -27.6, 9.2)
+        assert res.x[0] == 9.2
+
+    @pytest.mark.parametrize("target", [-20.0, -0.3, 1e-7, 2.5, 8.0])
+    def test_interior_minimum_and_its_count(self, target):
+        def slope(s):
+            return math.expm1(s - target) + 0.1 * (s - target)
+
+        res, calls = self.solve(slope, lambda s: math.exp(s - target) - s
+                                + 0.05 * (s - target) ** 2, -27.6, 9.2)
+        assert abs(slope(res.x[0])) <= 1e-10
+        assert res.x[0] == pytest.approx(target, abs=1e-9)
+        assert res.nfev == calls
+        # Illinois steps converge superlinearly: a few more calls than the doubling.
+        assert calls <= 25
+
+    def test_adjacent_floats_end_the_solve(self):
+        # F' = 2e6 (s - pi) + 3e-10 changes sign between two floats and is
+        # larger than 1e-10 in size at both.
+        def slope(s):
+            return 2e6 * (s - math.pi) + 3e-10
+
+        res, calls = self.solve(slope, lambda s: 1e6 * (s - math.pi) ** 2 + 3e-10 * s,
+                                -27.6, 9.2)
+        assert res.x[0] == math.pi
+        assert res.nfev == calls < 200
+
+    @pytest.mark.parametrize("wells, hump", [((-0.5, 3.0), 1.2), ((0.25, 0.9), 0.6)])
+    def test_double_well_ends_in_a_well(self, wells, hump):
+        # F' = (s - w1)(s - hump)(s - w2). From s = 0 the first downhill step
+        # brackets one well in the first case and both wells and the hump in
+        # the second; the solve must end where F' turns from - to +.
+        def slope(s):
+            return (s - wells[0]) * (s - hump) * (s - wells[1])
+
+        def antiderivative(s):
+            c2, c1 = sum(wells) + hump, wells[0] * wells[1] + hump * sum(wells)
+            return s**4 / 4 - c2 * s**3 / 3 + c1 * s**2 / 2 - wells[0] * wells[1] * hump * s
+
+        res, _ = self.solve(slope, antiderivative, -10.0, 10.0)
+        x = res.x[0]
+        assert abs(slope(x)) <= 1e-10
+        assert min(abs(x - wells[0]), abs(x - wells[1])) < 1e-9
+        assert slope(x - 1e-3) < 0.0 < slope(x + 1e-3)
 
 
 def gpd_or_bounded_exceedances():
