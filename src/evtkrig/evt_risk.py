@@ -294,63 +294,47 @@ def gpd_hessian(xi: float, beta: float, z):
     return d_xx, d_xb, d_bb
 
 
-def _profile(tau: float, w: np.ndarray) -> tuple[float, float, float]:
-    """Grimshaw's profile likelihood along the ray xi / beta = theta.
+def _ray(tau: float, w: np.ndarray, b_lo: float, b_hi: float) -> tuple[float, float, float]:
+    """The box optimum (xi, b) on the ray xi / beta = theta, and dF/dtau there.
 
     ``w`` holds the exceedances scaled by their maximum and ``tau`` is
-    theta * z_max, so the support constraint reads tau > -1. At fixed theta
-    the likelihood peaks at xi(tau) = S = mean(log1p(tau w)) with scale
-    beta(tau) = xi / theta = z_max * b, b = S / tau. Returns
-    (xi, b, dF/dtau) for the profiled negative log-likelihood per exceedance
-    F = log(beta) + xi + 1. Away from tau = 0 that takes two reductions,
-    S and S' = mean(w / (1 + tau w)), and dF/dtau = S'/S - 1/tau + S'.
-    Below |tau| = 1e-4 the terms S'/S and 1/tau cancel, so b and
-    dF/dtau = mean(w^2 h'(tau w)) / b + S' come from the series of
-    h(u) = log1p(u) / u instead.
+    theta * z_max, so the support constraint reads tau > -1. On the ray the
+    negative log-likelihood per exceedance is F(b) = log b + S + b_p / b in
+    b = beta / z_max, with S = mean(log1p(tau w)) and Grimshaw's (1993)
+    profile point xi = S, b_p = S / tau. The box cuts the ray to b in
+    [b_lo, min(b_hi, xi_edge / tau)] (xi_edge: the shape face on the side
+    of tau), so its optimum is b_p clipped there. Unclipped,
+    dF/dtau = S'/S - 1/tau + S' with S' = mean(w / (1 + tau w)); below
+    |tau| = 1e-4, where S'/S and 1/tau cancel, b_p and dF/dtau come from
+    the series of h(u) = log1p(u) / u. On a clip dF/dtau holds the clipped
+    coordinate fixed (xi on a shape face, b on a scale face); F is
+    stationary in b at the clip, so dF/dtau is continuous across it.
     """
     u = tau * w
     n = w.size
     s = float(np.log1p(u).sum()) / n
     ds = float((w / (1.0 + u)).sum()) / n
     if abs(tau) < 1e-4:
-        b = float(w @ (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u)))) / n
-        return s, b, float((w * w) @ (-0.5 + u * (2.0 / 3.0 - 0.75 * u))) / (n * b) + ds
-    return s, s / tau, ds / s - 1.0 / tau + ds
-
-
-def _box_profile(tau: float, w: np.ndarray, b_lo: float,
-                 b_hi: float) -> tuple[float, float, float, float]:
-    """The best point of the search box on the ray of :func:`_profile`.
-
-    On the ray tau the negative log-likelihood per exceedance is
-    F(b) = log b + xi(tau) + b(tau) / b in b = beta / z_max, where xi(tau)
-    and b(tau) are the profile point. F has its one minimum at b(tau), and
-    the box cuts the ray to b in [b_lo, min(b_hi, xi_edge / tau)], with
-    xi_edge the shape face on the side of tau. So the box optimum on the ray
-    is the profile point with b clipped to that interval. Returns
-    (xi, b, F, dF/dtau). On a clip, dF/dtau holds the clipped coordinate
-    fixed: xi on a shape face, b on a scale face. F is stationary in b at
-    the clip, so dF/dtau is continuous across it.
-    """
-    xi, b_p, grad = _profile(tau, w)
+        b_p = float(w @ (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u)))) / n
+        grad = float((w * w) @ (-0.5 + u * (2.0 / 3.0 - 0.75 * u))) / (n * b_p) + ds
+    else:
+        b_p, grad = s / tau, ds / s - 1.0 / tau + ds
     xi_edge = XI_BOUNDS[1] if tau > 0.0 else XI_BOUNDS[0]
     b_shape = xi_edge / tau if tau != 0.0 else math.inf
     b = min(max(b_p, b_lo), b_hi, b_shape)
     if b == b_p:
-        return xi, b, math.log(b) + xi + 1.0, grad
-    # S'(tau) for S = xi(tau) = mean(log1p(tau w)); grad - S' is b'(tau) / b(tau).
-    ds = float((w / (1.0 + tau * w)).sum()) / w.size
-    f = math.log(b) + xi + b_p / b
+        return s, b, grad
     if b == b_shape:
-        return xi_edge, b, f, ds * (1.0 + 1.0 / xi_edge) - 1.0 / tau
-    return tau * b, b, f, ds + (grad - ds) * b_p / b
+        return xi_edge, b, ds * (1.0 + 1.0 / xi_edge) - 1.0 / tau
+    # grad - S' is b_p'(tau) / b_p.
+    return tau * b, b, ds + (grad - ds) * b_p / b
 
 
-def _slope_solve(fun, x0, jac, bounds, **_) -> optimize.OptimizeResult:
-    """Minimize a C^1 function F of one variable on [lo, hi] through F'.
+def _slope_solve(fun, x0, bounds, **_) -> optimize.OptimizeResult:
+    """Minimize a C^1 function F of one variable on [lo, hi], given F' alone.
 
     A custom ``method`` for :func:`scipy.optimize.minimize`, called with
-    ``jac=True`` and ``bounds=[(lo, hi)]``; it evaluates F' alone, so the
+    ``fun`` = F' (a float to float callable) and ``bounds=[(lo, hi)]``; the
     result holds ``x``, ``jac`` and ``nfev`` but no ``fun``. From x0 the
     solve steps downhill, by 1 and then doubling the step, until the slope
     turns, or it stops at the bound where the slope still points out of the
@@ -370,7 +354,7 @@ def _slope_solve(fun, x0, jac, bounds, **_) -> optimize.OptimizeResult:
     def slope(x: float) -> float:
         nonlocal nfev
         nfev += 1
-        return float(jac(np.array([x]))[0])
+        return fun(x)
 
     def done(x: float, g: float) -> optimize.OptimizeResult:
         return optimize.OptimizeResult(x=np.array([x]), jac=np.array([g]), nfev=nfev,
@@ -419,23 +403,31 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
     1 + xi * z_max / beta > 0 holds throughout. Grimshaw's (1993)
     reduction turns the search into one dimension: every point of the box
     lies on one ray xi / beta = theta, and the best point on each ray is
-    the profile point clipped to the box (see :func:`_box_profile`). The
-    clipped profile F is C^1 in s = log1p(theta z_max) on closed-form
-    bounds, so one bracketed solve of dF/ds = 0 (see :func:`_slope_solve`),
-    started at s = 0 and ended at |dF/ds| <= 1e-10 or on a bound, covers
-    the interior and every face of the box.
+    the profile point clipped to the box (see :func:`_ray`). The clipped
+    profile F is C^1 in s = log1p(theta z_max) on closed-form bounds, so
+    one bracketed solve of dF/ds = 0 on its slope alone (see
+    :func:`_slope_solve`), started at s = 0 and ended at |dF/ds| <= 1e-10
+    or on a bound, covers the interior and every face of the box.
 
+    ``n_total`` (default: the number of exceedances) must be an integer no
+    smaller than the number of exceedances, and ``u`` a finite number.
     Fits within 1e-6 of the box edge are flagged ``boundary``; interior
     fits must pass a gradient check on the full (xi, beta) score.
     """
     z = as_sample(z)
     if np.any(z < 0.0):
         raise ValueError("exceedances must be nonnegative")
+    if n_total is None:
+        n_total = z.size
+    if (not isinstance(n_total, numbers.Integral) or isinstance(n_total, bool)
+            or n_total < z.size):
+        raise ValueError(f"n_total must be an integer >= the {z.size} exceedances, "
+                         f"got {n_total!r}")
+    if not (isinstance(u, numbers.Real) and math.isfinite(u)):
+        raise ValueError(f"threshold u must be a finite number, got {u!r}")
     if z.size < MIN_EXCEEDANCES:
         raise InsufficientTailError(
             f"{z.size} exceedances below the floor of {MIN_EXCEEDANCES}")
-    if n_total is None:
-        n_total = z.size
     n_u = z.size
     z_max = float(z.max())
     beta0 = float(z.mean())
@@ -446,15 +438,14 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
     w = z / z_max
     b_lo, b_hi = math.exp(lbeta_lo) / z_max, math.exp(lbeta_hi) / z_max
 
-    def objective(s: np.ndarray) -> tuple[float, np.ndarray]:
-        _, _, f, grad = _box_profile(math.expm1(float(s[0])), w, b_lo, b_hi)
-        return f, np.array([grad * math.exp(float(s[0]))])
+    def slope(s: float) -> float:
+        return _ray(math.expm1(s), w, b_lo, b_hi)[2] * math.exp(s)
 
     # A ray meets the box iff tau <= XI_BOUNDS[1] / b_lo; b_lo <= 1e-3, so the
     # support tau > -1 is the lower end.
-    res = optimize.minimize(objective, [0.0], jac=True, method=_slope_solve,
+    res = optimize.minimize(slope, [0.0], method=_slope_solve,
                             bounds=[(math.log(1e-12), math.log1p(XI_BOUNDS[1] / b_lo))])
-    xi_hat, b_hat, _, _ = _box_profile(math.expm1(float(res.x[0])), w, b_lo, b_hi)
+    xi_hat, b_hat, _ = _ray(math.expm1(float(res.x[0])), w, b_lo, b_hi)
     beta_hat = z_max * b_hat
 
     boundary = (xi_hat - XI_BOUNDS[0] < 1e-6 or XI_BOUNDS[1] - xi_hat < 1e-6

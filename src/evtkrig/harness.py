@@ -434,6 +434,8 @@ def wilcoxon_signed_rank(paired_a, paired_b, side: str = "greater") -> float:
     b = np.asarray(paired_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be equal-length 1-D sequences")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("paired samples must be finite")
     if a.size < 5:
         raise ValueError("need at least 5 pairs")
     if side not in ("greater", "less", "two-sided"):

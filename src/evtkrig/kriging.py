@@ -68,15 +68,17 @@ class SingularDesignError(RuntimeError):
 
 @dataclass(frozen=True)
 class DesignSite:
-    """One aggregated observation: location, response, and its estimator variance."""
+    """One aggregated observation: location, response, and its estimator variance.
+
+    Every value must be finite and the variance nonnegative (ValueError).
+    """
 
     location: tuple[float, ...]
     response: float
     intrinsic_variance: float = 0.0
 
     def __post_init__(self):
-        if self.intrinsic_variance < 0.0:
-            raise ValueError("intrinsic variance must be nonnegative")
+        _site_arrays([self])
 
 
 def kernel(a, b, theta) -> float:
@@ -112,6 +114,9 @@ def _site_arrays(sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("sites must share a common location dimension")
     resp = np.array([float(s.response) for s in sites])
     intr = np.array([float(s.intrinsic_variance) for s in sites])
+    for name, values in (("location", locs), ("response", resp), ("intrinsic_variance", intr)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"site {name} must be finite")
     if np.any(intr < 0.0):
         raise ValueError("intrinsic variances must be nonnegative")
     return locs, resp, intr

@@ -12,6 +12,16 @@ from scipy import integrate, optimize
 from evtkrig import evt_risk as er
 
 
+def ray_nll(tau, w, b_lo=0.0, b_hi=math.inf):
+    """F: the negative log-likelihood per exceedance at the box point of ray tau.
+
+    Taken from ``gpd_logpdf``, independently of the closed forms in ``_ray``;
+    ``w`` is in units of its maximum, so beta is b.
+    """
+    xi, b, _ = er._ray(tau, w, b_lo, b_hi)
+    return -float(np.mean(er.gpd_logpdf(xi, b, w)))
+
+
 def gpd_draws(xi, beta, n, rng):
     """Inverse-transform GPD sampler (independent of the fitted code paths)."""
     v = 1.0 - rng.random(n)
@@ -227,6 +237,16 @@ class TestFitGpd:
         with pytest.raises(er.InsufficientTailError):
             er.fit_gpd_exceedances([1.0, 2.0])
 
+    @pytest.mark.parametrize("n_total, u", [
+        (0, 0.0), (5, 0.0), (39, 0.0), (40.5, 0.0), (-3, 0.0), (True, 0.0), ("40", 0.0),
+        (None, math.nan), (None, math.inf), (400, -math.inf), (400, "1.5")])
+    def test_n_total_and_threshold_validated(self, n_total, u):
+        z = np.random.default_rng(11).exponential(size=40)
+        with pytest.raises(ValueError, match=r"n_total must be an integer|threshold u"):
+            er.fit_gpd_exceedances(z, n_total=n_total, u=u)
+        fit = er.fit_gpd_exceedances(z, n_total=np.int64(400), u=np.float64(1.5))
+        assert (fit.n_total, fit.zeta, fit.u) == (400, 0.1, 1.5)
+
     def test_small_sample_rejected(self):
         with pytest.raises(er.InsufficientDataError):
             er.fit_gpd(np.arange(50.0), 0.9)
@@ -272,23 +292,25 @@ class TestFitGpd:
         # float either side of the switch.
         switch = [t for edge in (-1e-4, 1e-4)
                   for t in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2 * edge))]
+        # With no scale faces only tau = -0.9 and 25 reach a shape face.
         for tau in (-0.9, -0.3, -1e-3, -5e-5, 0.0, 5e-5, 1e-3, 0.7, 25.0, *switch):
-            xi, b, grad = er._profile(tau, w)
-            up, dn = er._profile(tau + h, w), er._profile(tau - h, w)
-            fd = (math.log(up[1]) + up[0] - math.log(dn[1]) - dn[0]) / (2 * h)
+            xi, b, grad = er._ray(tau, w, 0.0, math.inf)
+            fd = (ray_nll(tau + h, w) - ray_nll(tau - h, w)) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-6, abs=1e-9)
-            # The profile point is the shape-optimal point on its ray: xi = tau * beta.
+            # The point lies on its ray: xi = tau * beta.
             assert xi == pytest.approx(tau * b, rel=1e-12, abs=1e-15)
         # theta -> 0 limit: F'(0) = m1 - m2 / (2 m1) in the moments of w.
         m1, m2 = w.mean(), (w * w).mean()
-        assert er._profile(0.0, w)[2] == pytest.approx(m1 - m2 / (2 * m1), rel=1e-12)
+        assert er._ray(0.0, w, 0.0, math.inf)[2] == pytest.approx(m1 - m2 / (2 * m1),
+                                                                  rel=1e-12)
         # xi, b and dF/dtau are continuous where the series takes over; b, which
         # sets the fitted scale, to round-off.
         for inner, edge, outer in (switch[:3], switch[3:]):
+            ref = er._ray(inner, w, 0.0, math.inf)
             for tau in (edge, outer):
-                assert er._profile(tau, w) == pytest.approx(er._profile(inner, w), rel=1e-10)
-                assert er._profile(tau, w)[1] == pytest.approx(er._profile(inner, w)[1],
-                                                               rel=1e-14, abs=0.0)
+                assert er._ray(tau, w, 0.0, math.inf) == pytest.approx(ref, rel=1e-10)
+                assert er._ray(tau, w, 0.0, math.inf)[1] == pytest.approx(ref[1], rel=1e-14,
+                                                                          abs=0.0)
 
     def test_box_profile_is_c1_across_every_clip(self):
         rng = np.random.default_rng(13)
@@ -297,8 +319,13 @@ class TestFitGpd:
         m = w.mean()
         neg, pos = (-1.0 + 1e-12, 0.0), (0.0, 1e3)
 
+        def profile(t):
+            # Grimshaw's unclipped profile point (xi, b) on the ray, b -> m at t = 0.
+            s = float(np.log1p(t * w).sum()) / w.size
+            return s, s / t if t else m
+
         def crossing(coord, edge, bracket):
-            return optimize.brentq(lambda t: er._profile(t, w)[coord] - edge, *bracket)
+            return optimize.brentq(lambda t: profile(t)[coord] - edge, *bracket)
 
         # (b_lo, b_hi, tau at the clip, +1 if the clip is above it, clipped coordinate, edge)
         upper_shape = (1e-3 * m, 1e3 * m, crossing(0, er.XI_BOUNDS[1], pos), 1, 0,
@@ -310,24 +337,28 @@ class TestFitGpd:
         for b_lo, b_hi, tau_c, side, coord, edge in (upper_shape, lower_shape,
                                                      lower_scale, upper_scale):
             def box(t):
-                return er._box_profile(t, w, b_lo, b_hi)
+                return er._ray(t, w, b_lo, b_hi)
+
+            def f(t):
+                return ray_nll(t, w, b_lo, b_hi)
 
             step = 1e-3 * (1.0 + abs(tau_c))
             inside, clipped = box(tau_c - side * step), box(tau_c + side * step)
-            assert inside[:2] == er._profile(tau_c - side * step, w)[:2]
+            assert inside[:2] == profile(tau_c - side * step)
             assert clipped[coord] == pytest.approx(edge, rel=1e-15)
             # Only the named coordinate is clipped.
             assert (b_lo < clipped[1] < b_hi if coord == 0
                     else er.XI_BOUNDS[0] < clipped[0] < er.XI_BOUNDS[1])
             for t in (tau_c - side * step, tau_c + side * step):
                 h = 1e-6 * (1.0 + abs(t))
-                fd = (box(t + h)[2] - box(t - h)[2]) / (2 * h)
-                assert box(t)[3] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+                fd = (f(t + h) - f(t - h)) / (2 * h)
+                assert box(t)[2] == pytest.approx(fd, rel=1e-6, abs=1e-9)
             # Value and derivative are continuous at the clip.
             delta = 1e-9 * (1.0 + abs(tau_c))
             below, above = box(tau_c - delta), box(tau_c + delta)
-            assert above[2] == pytest.approx(below[2], abs=4 * delta * (1.0 + abs(below[3])))
-            assert above[3] == pytest.approx(below[3], rel=1e-6, abs=1e-9)
+            assert f(tau_c + delta) == pytest.approx(
+                f(tau_c - delta), abs=4 * delta * (1.0 + abs(below[2])))
+            assert above[2] == pytest.approx(below[2], rel=1e-6, abs=1e-9)
 
     def test_face_fits_are_optimal_along_their_face(self):
         # Shapes far above XI_BOUNDS[1] put the fit on the upper shape face, on
@@ -364,25 +395,23 @@ class TestSlopeSolve:
     """The bracketed slope solve behind the GPD fit, on synthetic C^1 functions."""
 
     @staticmethod
-    def solve(slope, antiderivative, lo, hi):
-        """Run the solve through ``minimize``; return (result, objective calls)."""
+    def solve(slope, lo, hi):
+        """Run the solve through ``minimize``; return (result, slope calls)."""
         calls = []
 
         def fun(s):
-            calls.append(float(s[0]))
-            return antiderivative(float(s[0])), np.array([slope(float(s[0]))])
+            calls.append(s)
+            return slope(s)
 
-        res = optimize.minimize(fun, [0.0], jac=True, method=er._slope_solve,
-                                bounds=[(lo, hi)])
+        res = optimize.minimize(fun, [0.0], method=er._slope_solve, bounds=[(lo, hi)])
         return res, len(calls)
 
     def test_positive_slope_ends_at_the_lower_bound(self):
-        res, _ = self.solve(lambda s: 1.0 + 0.5 * math.cos(s),
-                            lambda s: s + 0.5 * math.sin(s), -27.6, 9.2)
+        res, _ = self.solve(lambda s: 1.0 + 0.5 * math.cos(s), -27.6, 9.2)
         assert res.x[0] == -27.6
 
     def test_negative_slope_ends_at_the_upper_bound(self):
-        res, _ = self.solve(lambda s: -math.exp(-s), lambda s: math.exp(-s), -27.6, 9.2)
+        res, _ = self.solve(lambda s: -math.exp(-s), -27.6, 9.2)
         assert res.x[0] == 9.2
 
     @pytest.mark.parametrize("target", [-20.0, -0.3, 1e-7, 2.5, 8.0])
@@ -390,8 +419,7 @@ class TestSlopeSolve:
         def slope(s):
             return math.expm1(s - target) + 0.1 * (s - target)
 
-        res, calls = self.solve(slope, lambda s: math.exp(s - target) - s
-                                + 0.05 * (s - target) ** 2, -27.6, 9.2)
+        res, calls = self.solve(slope, -27.6, 9.2)
         assert abs(slope(res.x[0])) <= 1e-10
         assert res.x[0] == pytest.approx(target, abs=1e-9)
         assert res.nfev == calls
@@ -404,8 +432,7 @@ class TestSlopeSolve:
         def slope(s):
             return 2e6 * (s - math.pi) + 3e-10
 
-        res, calls = self.solve(slope, lambda s: 1e6 * (s - math.pi) ** 2 + 3e-10 * s,
-                                -27.6, 9.2)
+        res, calls = self.solve(slope, -27.6, 9.2)
         assert res.x[0] == math.pi
         assert res.nfev == calls < 200
 
@@ -417,11 +444,7 @@ class TestSlopeSolve:
         def slope(s):
             return (s - wells[0]) * (s - hump) * (s - wells[1])
 
-        def antiderivative(s):
-            c2, c1 = sum(wells) + hump, wells[0] * wells[1] + hump * sum(wells)
-            return s**4 / 4 - c2 * s**3 / 3 + c1 * s**2 / 2 - wells[0] * wells[1] * hump * s
-
-        res, _ = self.solve(slope, antiderivative, -10.0, 10.0)
+        res, _ = self.solve(slope, -10.0, 10.0)
         x = res.x[0]
         assert abs(slope(x)) <= 1e-10
         assert min(abs(x - wells[0]), abs(x - wells[1])) < 1e-9

@@ -376,6 +376,14 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             hn.wilcoxon_signed_rank([1.0] * 6, [1.0] * 6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_pairs_rejected(self, bad):
+        a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        with pytest.raises(ValueError, match="paired samples must be finite"):
+            hn.wilcoxon_signed_rank(a, [0.0, 0.0, bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="paired samples must be finite"):
+            hn.wilcoxon_signed_rank([bad, *a[1:]], [0.0] * 6, side="two-sided")
+
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             hn.wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ class TestFit:
         sites = [kg.DesignSite((1.0,), 2.0, 0.5), kg.DesignSite((1.0,), 3.0, 0.5),
                  kg.DesignSite((2.0,), 4.0, 0.5)]
         kg.fit(sites)  # must not raise
+
+    @pytest.mark.parametrize("field, bad", [
+        ("location", (math.nan,)), ("location", (-math.inf,)), ("response", math.nan),
+        ("response", math.inf), ("intrinsic_variance", math.nan),
+        ("intrinsic_variance", math.inf), ("intrinsic_variance", -0.1)])
+    def test_bad_site_values_rejected(self, field, bad):
+        message = "nonnegative" if bad == -0.1 else f"site {field} must be finite"
+        good = {"location": (0.5,), "response": 1.0, "intrinsic_variance": 0.1}
+        with pytest.raises(ValueError, match=message):
+            kg.DesignSite(**dict(good, **{field: bad}))
+        # A site-like object that bypasses DesignSite meets the same check in fit.
+        sites, _ = sine_sites(10)
+        sites[3] = SimpleNamespace(**dict(good, **{field: bad}))
+        with pytest.raises(ValueError, match=message):
+            kg.fit(sites)
 
     def test_single_site_rejected(self):
         with pytest.raises(ValueError):
