@@ -410,7 +410,8 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
     or on a bound, covers the interior and every face of the box.
 
     ``n_total`` (default: the number of exceedances) must be an integer no
-    smaller than the number of exceedances, and ``u`` a finite number.
+    smaller than the number of exceedances, ``u`` a finite number, and
+    ``threshold_quantile`` None or a number in (0, 1).
     Fits within 1e-6 of the box edge are flagged ``boundary``; interior
     fits must pass a gradient check on the full (xi, beta) score.
     """
@@ -425,6 +426,8 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
                          f"got {n_total!r}")
     if not (isinstance(u, numbers.Real) and math.isfinite(u)):
         raise ValueError(f"threshold u must be a finite number, got {u!r}")
+    if threshold_quantile is not None:
+        threshold_quantile = _check_alpha(threshold_quantile, "threshold_quantile")
     if z.size < MIN_EXCEEDANCES:
         raise InsufficientTailError(
             f"{z.size} exceedances below the floor of {MIN_EXCEEDANCES}")

@@ -16,6 +16,9 @@ alpha = Sigma^-1 (Y - beta0) (Rasmussen & Williams 2006, sec. 5.4.1); as
 beta0 is profiled out, the gradient at fixed beta0 is exact. An evaluation
 fills Sigma's lower triangle from correlations on the k(k-1)/2 site pairs,
 factors it once, then solves and inverts with LAPACK ``dpotrs``/``dpotri``.
+The searches from ``N_STARTS`` start points run one after another, and a
+start stops once it reaches an earlier start's path (multi-level single
+linkage, Rinnooy Kan & Timmer 1987).
 
 With all intrinsic variances and nugget zero this reduces to an ordinary
 interpolating kriging model.
@@ -55,6 +58,9 @@ NUGGET_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # A fit is usable when its weights reproduce the residuals Y - beta0 to this
 # fraction of their largest magnitude (see fit()).
 SOLVE_RTOL = 1e-8
+# A start stops at an iterate within RETIRE_ATOL, in every coordinate of psi, of
+# an earlier start's iterate at the same nugget whose objective is no higher.
+RETIRE_ATOL = 1e-4
 # Likelihood search: L-BFGS-B from N_STARTS Latin-hypercube starts drawn from
 # RngStream(START_SEED), at most MAX_ITER iterations each.
 N_STARTS = 10
@@ -310,7 +316,11 @@ def fit(sites) -> KrigingModel:
 
     The search runs L-BFGS-B over (log tau^2, log theta) from ``N_STARTS``
     Latin-hypercube start points in the bound box, with the analytic
-    gradient of the profile log-likelihood (``_neg_profile_loglik``). One
+    gradient of the profile log-likelihood (``_neg_profile_loglik``). A
+    start stops at its first iterate that lies within ``RETIRE_ATOL``, in
+    every coordinate, of an iterate that an earlier start reached at the same
+    nugget with an objective no higher: from there it would retrace that
+    start's path. The best start is the one with the lowest objective. One
     nugget rule holds for noisy and zero-noise designs alike: search at
     nugget 0 first, then at each nugget of ``NUGGET_LADDER`` in turn, and
     return the first model whose covariance factors and solves its own
@@ -318,7 +328,8 @@ def fit(sites) -> KrigingModel:
     A Cholesky factor of a nearly singular covariance (e.g. nearly
     coincident zero-noise sites) can exist and still give weights that do
     not reproduce the data; the solve check rejects it. The nugget actually
-    used is recorded on the model.
+    used is recorded on the model. When no nugget passes, the
+    SingularDesignError names the check that failed at the last one.
     """
     sites = list(sites)
     locs, resp, intr = _site_arrays(sites)
@@ -339,18 +350,34 @@ def fit(sites) -> KrigingModel:
     pairs, dpairs = _site_pairs(locs)
     for nugget in (0.0, *NUGGET_LADDER):
         best_x, best_f = None, math.inf
+        # psi and objective of every iterate of the earlier starts at this nugget.
+        seen_x, seen_f = np.empty((0, lo.size)), np.empty(0)
         for x0 in starts:
+            path_x, path_f = [], []
+
+            def retire(intermediate_result):
+                x = intermediate_result.x.copy()  # SciPy reuses the iterate's array
+                f = float(intermediate_result.fun)
+                path_x.append(x)
+                path_f.append(f)
+                if ((np.abs(seen_x - x) <= RETIRE_ATOL).all(axis=1) & (seen_f <= f)).any():
+                    raise StopIteration
+
             res = optimize.minimize(_neg_profile_loglik, x0, jac=True, method="L-BFGS-B",
                                     args=(pairs, dpairs, resp, intr, nugget),
-                                    bounds=list(zip(lo, hi)), options={"maxiter": MAX_ITER})
+                                    bounds=list(zip(lo, hi)), options={"maxiter": MAX_ITER},
+                                    callback=retire)
             if res.fun < best_f:
                 best_x, best_f = res.x, float(res.fun)
+            seen_x, seen_f = np.vstack([seen_x, *path_x]), np.append(seen_f, path_f)
         if best_x is None or best_f >= 1e299:
+            failed = "likelihood search failed at every start"
             continue
         try:
             model = assemble(sites, tau2=math.exp(best_x[0]), theta=np.exp(best_x[1:]),
                              nugget=nugget)
         except SingularDesignError:
+            failed = "best covariance did not factor"
             continue
         sigma, _ = _covariance(pairs, dpairs, intr, model.tau2, model.theta, nugget)
         resid = resp - model.beta0
@@ -358,5 +385,6 @@ def fit(sites) -> KrigingModel:
         sigma = np.ascontiguousarray(sigma + np.tril(sigma, -1).T)
         if np.abs(sigma @ model._weights - resid).max() <= SOLVE_RTOL * np.abs(resid).max():
             return model
-    raise SingularDesignError("no usable covariance after nugget escalation: likelihood "
-                              f"search failed at every start (nugget {NUGGET_LADDER[-1]:g})")
+        failed = f"solve check failed (SOLVE_RTOL {SOLVE_RTOL:g})"
+    raise SingularDesignError("no usable covariance after nugget escalation: "
+                              f"{failed} at nugget {NUGGET_LADDER[-1]:g}")

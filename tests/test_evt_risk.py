@@ -247,6 +247,13 @@ class TestFitGpd:
         fit = er.fit_gpd_exceedances(z, n_total=np.int64(400), u=np.float64(1.5))
         assert (fit.n_total, fit.zeta, fit.u) == (400, 0.1, 1.5)
 
+    @pytest.mark.parametrize("q", [7.0, 0.0, 1.0, math.nan, "0.9", True])
+    def test_threshold_quantile_validated(self, q):
+        z = np.random.default_rng(11).exponential(size=40)
+        with pytest.raises(ValueError, match="threshold_quantile must lie in"):
+            er.fit_gpd_exceedances(z, threshold_quantile=q)
+        assert er.fit_gpd_exceedances(z, threshold_quantile=0.9).threshold_quantile == 0.9
+
     def test_small_sample_rejected(self):
         with pytest.raises(er.InsufficientDataError):
             er.fit_gpd(np.arange(50.0), 0.9)

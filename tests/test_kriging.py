@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evtkrig import kriging as kg
+
+AGREEMENT_FIXTURE = Path(__file__).parent / "fixtures" / "kriging_agreement.json"
 
 
 def sine_sites(k=20):
@@ -134,6 +137,78 @@ class TestFit:
     def test_single_site_rejected(self):
         with pytest.raises(ValueError):
             kg.fit([kg.DesignSite((0.0,), 1.0)])
+
+    def test_failed_solve_check_is_named(self, monkeypatch):
+        # Every search succeeds and every covariance factors; only the solve
+        # check, made impossible here, rejects each nugget.
+        monkeypatch.setattr(kg, "SOLVE_RTOL", 0.0)
+        sites, _ = sine_sites(8)
+        with pytest.raises(kg.SingularDesignError, match="solve check failed") as err:
+            kg.fit(sites)
+        assert "likelihood search failed" not in str(err.value)
+
+
+class TestStartRetirement:
+    """A start stops once it reaches an earlier start's path at no lower objective."""
+
+    @staticmethod
+    def recorded_searches(monkeypatch, first_shift=0.0):
+        """Fit noisy sine sites from two copies of one start; return both L-BFGS-B results.
+
+        The first search sees the objective plus ``first_shift``, which moves
+        no iterate but makes its path that much higher (or lower).
+        """
+        lhs, real_minimize = kg.lhs, kg.optimize.minimize
+        monkeypatch.setattr(kg, "lhs", lambda *args: np.repeat(lhs(*args)[:1], 2, axis=0))
+        results = []
+
+        def minimize(fun, x0, args, **kwargs):
+            shift = 0.0 if results else first_shift
+
+            def shifted(params):
+                value, grad = fun(params, *args)
+                return value + shift, grad
+
+            results.append(real_minimize(shifted, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(kg, "optimize", SimpleNamespace(minimize=minimize))
+        sites = [kg.DesignSite(s.location, s.response, 0.01) for s in sine_sites(20)[0]]
+        assert kg.fit(sites).nugget == 0.0 and len(results) == 2
+        return results
+
+    @pytest.mark.parametrize("first_shift", [0.0, -1.0])
+    def test_duplicate_start_stops_at_its_first_iterate(self, monkeypatch, first_shift):
+        first, second = self.recorded_searches(monkeypatch, first_shift)
+        assert first.nit > 1
+        assert second.nit == 1
+
+    def test_start_below_the_earlier_path_runs_on(self, monkeypatch):
+        # The earlier path is higher everywhere, so it must not retire the copy.
+        first, second = self.recorded_searches(monkeypatch, first_shift=1.0)
+        assert second.nit == first.nit > 1
+        np.testing.assert_allclose(second.x, first.x, atol=1e-12)
+
+    def test_fewer_evaluations_for_the_same_optimum(self, monkeypatch):
+        case = json.loads(AGREEMENT_FIXTURE.read_text())["surface-fit-normal-5-1"]
+        sites = [kg.DesignSite(tuple(row[:-2]), row[-2], row[-1]) for row in case["sites"]]
+        assert len(sites) == 100
+        calls = []
+        objective = kg._neg_profile_loglik
+
+        def counted(*args):
+            calls.append(None)
+            return objective(*args)
+
+        monkeypatch.setattr(kg, "_neg_profile_loglik", counted)
+        retired = kg.fit(sites)
+        n_retired = len(calls)
+        calls.clear()
+        monkeypatch.setattr(kg, "RETIRE_ATOL", -1.0)  # no iterate is ever that close
+        full = kg.fit(sites)
+        assert n_retired <= 0.6 * len(calls)
+        assert retired.loglik >= full.loglik - 1e-6
+        assert retired.nugget == full.nugget == 0.0
 
 
 class TestPredict:
