@@ -54,6 +54,7 @@ __all__ = [
     "pot_var",
     "pot_cvar",
     "pot_cvar_value",
+    "pot_cvar_many",
     "cvar_sensitivity",
     "delta_variance",
     "spectral_pot",
@@ -248,50 +249,60 @@ def gpd_cdf(xi: float, beta: float, z):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def gpd_logpdf(xi: float, beta: float, z):
-    """GPD log-density matching :func:`gpd_cdf` (−inf at a finite endpoint)."""
+def _gpd_terms(xi: float, beta: float, z, order: int) -> list:
+    """[logpdf], then up to ``order`` its partials [d/dxi, d/dbeta] and
+    [d2/dxi2, d2/dxidbeta, d2/dbeta2] at each z, from shared t = z / beta,
+    log1p(xi t) and beta + xi z. The density takes the exponential branch below
+    |xi| = XI_ZERO_EPS, the xi-partials their series below XI_SERIES_EPS; the
+    beta-partials have no cancellation at any xi, xi = 0 included.
+    """
     xi, beta = float(xi), float(beta)
     zz = _check_gpd_args(xi, beta, z)
+    t = zz / beta
     if abs(xi) < XI_ZERO_EPS:
-        out = -math.log(beta) - zz / beta
+        out = [-math.log(beta) - t]
     else:
         with np.errstate(divide="ignore"):
-            out = -math.log(beta) - (1.0 + 1.0 / xi) * np.log1p(xi * zz / beta)
+            log_term = np.log1p(xi * t)
+        out = [-math.log(beta) - (1.0 + 1.0 / xi) * log_term]
+    if order == 0:
+        return out
+    series = abs(xi) < XI_SERIES_EPS
+    denom = beta + xi * zz
+    ratio = zz * (xi + 1.0) / denom
+    if series:
+        d_xi = (t * t / 2.0 - t) + xi * (t**2 - 2.0 * t**3 / 3.0) \
+            + xi**2 * (0.75 * t**4 - t**3)
+    else:
+        d_xi = log_term / xi**2 - (1.0 / xi + 1.0) * zz / denom
+    out += [d_xi, (ratio - 1.0) / beta]
+    if order == 1:
+        return out
+    z2, denom2 = zz**2, denom**2
+    if series:
+        d_xx = t**2 - 2.0 * t**3 / 3.0 + xi * (1.5 * t**4 - 2.0 * t**3)
+    else:
+        d_xx = (-2.0 / xi**3 * log_term + 2.0 / xi**2 * zz / denom
+                + (1.0 / xi + 1.0) * z2 / denom2)
+    d_xb = (zz / denom - z2 * (xi + 1.0) / denom2) / beta
+    d_bb = -(ratio - 1.0) / beta**2 - zz * (xi + 1.0) / (beta * denom2)
+    return out + [d_xx, d_xb, d_bb]
+
+
+def gpd_logpdf(xi: float, beta: float, z):
+    """GPD log-density matching :func:`gpd_cdf` (−inf at a finite endpoint)."""
+    out = _gpd_terms(xi, beta, z, 0)[0]
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
 def gpd_score(xi: float, beta: float, z):
     """First partials (d/dxi, d/dbeta) of the GPD log-density at each z."""
-    xi, beta = float(xi), float(beta)
-    zz = _check_gpd_args(xi, beta, z)
-    t = zz / beta
-    denom = beta + xi * zz
-    if abs(xi) < XI_SERIES_EPS:
-        d_xi = (t * t / 2.0 - t) + xi * (t**2 - 2.0 * t**3 / 3.0) \
-            + xi**2 * (0.75 * t**4 - t**3)
-    else:
-        d_xi = np.log1p(xi * t) / xi**2 - (1.0 / xi + 1.0) * zz / denom
-    # The beta-partial has no cancellation at any xi, xi = 0 included.
-    d_beta = (zz * (xi + 1.0) / denom - 1.0) / beta
-    return d_xi, d_beta
+    return tuple(_gpd_terms(xi, beta, z, 1)[1:])
 
 
 def gpd_hessian(xi: float, beta: float, z):
     """Second partials (d2/dxi2, d2/dxidbeta, d2/dbeta2) of the log-density."""
-    xi, beta = float(xi), float(beta)
-    zz = _check_gpd_args(xi, beta, z)
-    t = zz / beta
-    denom = beta + xi * zz
-    if abs(xi) < XI_SERIES_EPS:
-        d_xx = t**2 - 2.0 * t**3 / 3.0 + xi * (1.5 * t**4 - 2.0 * t**3)
-    else:
-        d_xx = (-2.0 / xi**3 * np.log1p(xi * t)
-                + 2.0 / xi**2 * zz / denom
-                + (1.0 / xi + 1.0) * zz**2 / denom**2)
-    d_xb = (zz / denom - zz**2 * (xi + 1.0) / denom**2) / beta
-    d_bb = (-(zz * (xi + 1.0) / denom - 1.0) / beta**2
-            - zz * (xi + 1.0) / (beta * denom**2))
-    return d_xx, d_xb, d_bb
+    return tuple(_gpd_terms(xi, beta, z, 2)[3:])
 
 
 def _ray(tau: float, w: np.ndarray, b_lo: float, b_hi: float) -> tuple[float, float, float]:
@@ -453,23 +464,22 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
 
     boundary = (xi_hat - XI_BOUNDS[0] < 1e-6 or XI_BOUNDS[1] - xi_hat < 1e-6
                 or math.log(beta_hat) - lbeta_lo < 1e-6 or lbeta_hi - math.log(beta_hat) < 1e-6)
-    s_xi, s_beta = gpd_score(xi_hat, beta_hat, z)
+    loglik, s_xi, s_beta, h_xx, h_xb, h_bb = _gpd_terms(xi_hat, beta_hat, z, 2)
     grad_norm = math.hypot(float(s_xi.sum()), float(s_beta.sum()))
     if not boundary and grad_norm > 1e-6 * n_u:
         raise ConvergenceError(
             f"GPD likelihood gradient norm {grad_norm:.3g} exceeds tolerance "
             f"{1e-6 * n_u:.3g} at an interior point")
 
-    h_xx, h_xb, h_bb = gpd_hessian(xi_hat, beta_hat, z)
     info = -np.array([[h_xx.mean(), h_xb.mean()], [h_xb.mean(), h_bb.mean()]])
-    if not np.all(np.isfinite(info)) or np.linalg.cond(info) > INFO_MAX_CONDITION:
+    if not np.all(np.isfinite(info)) or _condition(info) > INFO_MAX_CONDITION:
         raise SingularInformationError(
             "empirical Fisher information is numerically singular "
             f"(condition number > {INFO_MAX_CONDITION:.0e})")
 
     return GpdFit(u=float(u), n_total=int(n_total), n_exceed=n_u,
                   zeta=n_u / float(n_total), xi=xi_hat, beta=beta_hat, info=info,
-                  loglik=float(gpd_logpdf(xi_hat, beta_hat, z).sum()), boundary=boundary,
+                  loglik=float(loglik.sum()), boundary=boundary,
                   threshold_quantile=threshold_quantile)
 
 
@@ -504,75 +514,152 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
 # POT quantile / CVaR and the delta-method variance
 # ---------------------------------------------------------------------------
 
-def _log_ratio(zeta: float, alpha: float) -> float:
-    """log(zeta / (1 - alpha)); nonnegative iff alpha covers the threshold.
+def _log_ratio(zeta, alpha: float, xi=None) -> np.ndarray:
+    """log(zeta / (1 - alpha)) per fit; nonnegative iff alpha covers the threshold.
 
     A level that misses the threshold level 1 - zeta only by round-off
-    (1e-12 in the log) is treated as the threshold level itself.
+    (1e-12 in the log) is treated as the threshold level itself. The fits
+    are checked in order and the first that fails raises: HeavyTailError if
+    its shape ``xi`` (when given) is >= 1, else TailOrderError if alpha lies
+    below its threshold level.
     """
     alpha = _check_alpha(alpha)
-    big_l = math.log(zeta / (1.0 - alpha))
-    if big_l < -1e-12:
+    zeta = np.asarray(zeta, dtype=float)
+    big_l = np.log(zeta / (1.0 - alpha))
+    heavy = np.zeros(big_l.shape, bool) if xi is None else np.asarray(xi) >= 1.0
+    failed = heavy | (big_l < -1e-12)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if heavy.flat[i]:
+            raise HeavyTailError(f"xi={float(np.asarray(xi).flat[i])} >= 1: CVaR is infinite")
         raise TailOrderError(
-            f"alpha={alpha} lies below the threshold level {1.0 - zeta:.6g}")
-    return max(big_l, 0.0)
+            f"alpha={alpha} lies below the threshold level {1.0 - zeta.flat[i]:.6g}")
+    return np.maximum(big_l, 0.0)
 
 
 def pot_var(fit: GpdFit, alpha: float) -> float:
     """Tail-extrapolated quantile u + (beta/xi) [ (zeta/(1-alpha))^xi - 1 ]."""
-    big_l = _log_ratio(fit.zeta, alpha)
+    big_l = float(_log_ratio(fit.zeta, alpha))
     if abs(fit.xi) < XI_ZERO_EPS:
         return fit.u + fit.beta * big_l
     return fit.u + fit.beta * math.expm1(fit.xi * big_l) / fit.xi
 
 
-def _excess_factor(xi: float, big_l: float, m: int = 1) -> float:
+def _excess_factor(xi, big_l, m: int = 1) -> np.ndarray:
     """The scaled tail moment E_m(xi, L) = (e^(xi L) / (m - xi) - 1/m) / xi.
 
     With s = 1 - alpha and L = log(zeta / s), the POT quantile curve gives
     int_0^s t^(m-1) VaR_(1-t) dt = s^m (u/m + beta E_m), so E_1 is
     (CVaR - u) / beta. Evaluated as expm1(xi L) / (xi (m - xi)) + 1 / (m (m - xi)),
-    which stays stable near xi = 0; the limit there is L/m + 1/m^2.
+    which stays stable near xi = 0; the limit there is L/m + 1/m^2. Takes
+    arrays, with every xi < 1.
     """
-    if abs(xi) < XI_ZERO_EPS:
-        return big_l / m + 1.0 / m**2
-    return math.expm1(xi * big_l) / (xi * (m - xi)) + 1.0 / (m * (m - xi))
+    near = np.abs(xi) < XI_ZERO_EPS
+    x = np.where(near, 0.5, xi)
+    return np.where(near, big_l / m + 1.0 / m**2,
+                    np.expm1(x * big_l) / (x * (m - x)) + 1.0 / (m * (m - x)))
 
 
-def _excess_factor_dxi(xi: float, big_l: float, m: int = 1) -> float:
+def _excess_factor_dxi(xi, big_l, m: int = 1) -> np.ndarray:
     """d/dxi of :func:`_excess_factor`; series below |xi| = 1e-4.
 
     The series is E_m = sum_n d_n xi^n with d_0 = (L + 1/m) / m and
     d_n = (d_(n-1) + L^(n+1) / (n+1)!) / m, cut after the xi^3 term of the
     derivative.
     """
-    if abs(xi) < 1e-4:
-        d = [(big_l + 1.0 / m) / m]
-        for n in range(1, 5):
-            d.append((d[-1] + big_l ** (n + 1) / math.factorial(n + 1)) / m)
-        return d[1] + 2.0 * xi * d[2] + 3.0 * xi**2 * d[3] + 4.0 * xi**3 * d[4]
-    a = math.exp(xi * big_l)
-    one = m - xi
-    return (big_l * a / (xi * one)
-            - math.expm1(xi * big_l) * (m - 2.0 * xi) / (xi * one) ** 2
-            + 1.0 / (m * one**2))
+    d = [(big_l + 1.0 / m) / m]
+    for n in range(1, 5):
+        d.append((d[-1] + big_l ** (n + 1) / math.factorial(n + 1)) / m)
+    near = np.abs(xi) < 1e-4
+    x = np.where(near, 0.5, xi)
+    one = m - x
+    return np.where(near, d[1] + 2.0 * xi * d[2] + 3.0 * xi**2 * d[3] + 4.0 * xi**3 * d[4],
+                    big_l * np.exp(x * big_l) / (x * one)
+                    - np.expm1(x * big_l) * (m - 2.0 * x) / (x * one) ** 2
+                    + 1.0 / (m * one**2))
+
+
+def _fit_columns(fits, *names: str) -> list[np.ndarray]:
+    return [np.array([getattr(f, name) for f in fits], dtype=float) for name in names]
+
+
+def _condition(info: np.ndarray) -> np.ndarray:
+    """2-norm condition number |lambda|max / |lambda|min of each finite
+    symmetric 2x2 matrix [[a, b], [b, c]] in ``info``: (|m| + r)^2 / |det| with
+    m = (a + c) / 2 and r = hypot((a - c) / 2, b); inf if singular. Each matrix
+    is first scaled by a power of two, exactly, so no product overflows.
+    """
+    _, e = np.frexp(np.abs(info).max(axis=(-2, -1), initial=0.0))
+    a, b, c = (np.ldexp(info[..., i, j], -e) for i, j in ((0, 0), (1, 0), (1, 1)))
+    big = np.abs(0.5 * (a + c)) + np.hypot(0.5 * (a - c), b)
+    det = np.abs(a * c - b * b)
+    return np.divide(big * big, det, out=np.full(det.shape, math.inf), where=det > 0.0)
+
+
+def _quad_form(fits, g_xi, g_beta) -> tuple[np.ndarray, np.ndarray]:
+    """grad' I^-1 grad / n_exceed per fit, with the flags of :func:`pot_cvar_many`.
+
+    The form is the sum of squares of L^-1 grad (L: the Cholesky factor of
+    the information I), so round-off cannot drive it negative. Warns when a
+    fit has xi >= 1/2, where the asymptotic normality of the MLE fails.
+    """
+    xi, n_exceed = _fit_columns(fits, "xi", "n_exceed")
+    if np.any(xi >= 0.5):
+        warnings.warn(f"delta-method variance with xi={xi[xi >= 0.5][0]:.3f} >= 0.5 "
+                      "is unreliable", HeavyTailWarning, stacklevel=3)
+    info = np.array([f.info if np.shape(f.info) == (2, 2) else np.full((2, 2), np.nan)
+                     for f in fits], dtype=float).reshape(-1, 2, 2)
+    ok = np.isfinite(info).all(axis=(1, 2))
+    info[~ok] = np.eye(2)
+    a, b, c = info[:, 0, 0], info[:, 1, 0], info[:, 1, 1]
+    ok &= np.abs(info[:, 0, 1] - b) <= 1e-8 * (1.0 + np.abs(info[:, 0, 1]))
+    ok &= _condition(info) <= INFO_MAX_CONDITION
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        l22 = np.sqrt(c - l21 * l21)
+        h1 = g_xi / l11
+        h2 = (g_beta - l21 * h1) / l22
+        ok &= (a > 0.0) & (l22 > 0.0)
+        return np.where(ok, (h1 * h1 + h2 * h2) / n_exceed, np.nan), ~ok
+
+
+def pot_cvar_many(fits, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """POT CVaR values, delta-method variances and singular flags of fits at one level.
+
+    Entry i is :func:`pot_cvar` of ``fits[i]``, except that a fit is flagged,
+    with variance NaN, unless its information is a finite symmetric
+    positive-definite 2x2 matrix with condition number at most
+    INFO_MAX_CONDITION. The first fit with xi >= 1 or a level below its
+    threshold level raises as :func:`pot_cvar` would.
+    """
+    xi, beta, u, zeta = _fit_columns(fits, "xi", "beta", "u", "zeta")
+    g_xi, g_beta = cvar_sensitivity(xi, beta, u, zeta, alpha)
+    variance, singular = _quad_form(fits, g_xi, g_beta)
+    return u + beta * g_beta, variance, singular
+
+
+def _one_variance(variance: np.ndarray, singular: np.ndarray) -> float:
+    """The variance of a batch of one; SingularInformationError if it is flagged."""
+    if singular[0]:
+        raise SingularInformationError(
+            "information matrix is not a finite, symmetric, positive-definite 2x2 "
+            f"matrix with condition number <= {INFO_MAX_CONDITION:.0e}")
+    return float(variance[0])
 
 
 def pot_cvar_value(fit: GpdFit, alpha: float) -> float:
     """POT CVaR point estimate: the extrapolated quantile plus the GPD mean
     excess above it, q + (beta + xi (q - u)) / (1 - xi). Requires xi < 1
     for a finite tail mean."""
-    if fit.xi >= 1.0:
-        raise HeavyTailError(f"xi={fit.xi} >= 1: CVaR is infinite")
-    big_l = _log_ratio(fit.zeta, alpha)
-    return fit.u + fit.beta * _excess_factor(fit.xi, big_l)
+    return fit.u + fit.beta * cvar_sensitivity(fit.xi, fit.beta, fit.u, fit.zeta, alpha)[1]
 
 
 def pot_cvar(fit: GpdFit, alpha: float) -> RiskEstimate:
     """POT CVaR with its delta-method variance (see :func:`delta_variance`)."""
-    value = pot_cvar_value(fit, alpha)
-    variance = delta_variance(fit, alpha)
-    return RiskEstimate(value=value, variance=variance, alpha=float(alpha), method="pot")
+    value, variance, singular = pot_cvar_many([fit], alpha)
+    return RiskEstimate(value=float(value[0]), variance=_one_variance(variance, singular),
+                        alpha=float(alpha), method="pot")
 
 
 def cvar_sensitivity(xi: float, beta: float, u: float, zeta: float,
@@ -582,47 +669,24 @@ def cvar_sensitivity(xi: float, beta: float, u: float, zeta: float,
     The extrapolated quantile is itself a function of (xi, beta), so the
     gradient carries both the quantile and the mean-excess dependence:
     with B(xi) = (e^(xi L)/(1-xi) - 1)/xi and L = log(zeta/(1-alpha)),
-    CVaR = u + beta B(xi), d/dbeta = B, d/dxi = beta B'(xi).
+    CVaR = u + beta B(xi), d/dbeta = B, d/dxi = beta B'(xi). Given arrays
+    (one entry per fit) it returns arrays; the first fit with xi >= 1 or a
+    level below its threshold level raises (see :func:`_log_ratio`).
     """
-    if xi >= 1.0:
-        raise HeavyTailError(f"xi={xi} >= 1: CVaR is infinite")
-    big_l = _log_ratio(zeta, alpha)
-    return beta * _excess_factor_dxi(xi, big_l), _excess_factor(xi, big_l)
-
-
-def _quad_form_variance(grad: np.ndarray, fit: GpdFit) -> float:
-    """grad' info^-1 grad / n_exceed with positive-definiteness checks."""
-    info = np.asarray(fit.info, dtype=float)
-    if info.shape != (2, 2) or not np.all(np.isfinite(info)):
-        raise SingularInformationError("information matrix is not a finite 2x2 matrix")
-    if abs(info[0, 1] - info[1, 0]) > 1e-8 * (1.0 + abs(info[0, 1])):
-        raise SingularInformationError("information matrix is not symmetric")
-    if np.linalg.cond(info) > INFO_MAX_CONDITION:
-        raise SingularInformationError(
-            f"information matrix condition number exceeds {INFO_MAX_CONDITION:.0e}")
-    try:
-        chol = np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        raise SingularInformationError("information matrix is not positive definite")
-    # Solving through the Cholesky factor writes the quadratic form as a sum
-    # of squares, so round-off cannot drive it negative.
-    half = np.linalg.solve(chol, grad)
-    return float(half @ half) / fit.n_exceed
+    big_l = _log_ratio(zeta, alpha, xi)
+    g_xi, g_beta = beta * _excess_factor_dxi(xi, big_l), _excess_factor(xi, big_l)
+    return (float(g_xi), float(g_beta)) if np.ndim(xi) == 0 else (g_xi, g_beta)
 
 
 def delta_variance(fit: GpdFit, alpha: float) -> float:
     """Asymptotic CVaR variance: grad' I^-1 grad / n_exceed.
 
     ``I`` is the empirical Fisher information of the fitted tail and the
-    gradient is :func:`cvar_sensitivity`. Warns when xi >= 1/2, where the
+    gradient is :func:`cvar_sensitivity`. Raises SingularInformationError
+    where :func:`pot_cvar_many` flags a fit. Warns when xi >= 1/2, where the
     asymptotic normality of the MLE becomes unreliable.
     """
-    if fit.xi >= 0.5:
-        warnings.warn(
-            f"delta-method variance with xi={fit.xi:.3f} >= 0.5 is unreliable",
-            HeavyTailWarning, stacklevel=2)
-    g_xi, g_beta = cvar_sensitivity(fit.xi, fit.beta, fit.u, fit.zeta, alpha)
-    return _quad_form_variance(np.array([g_xi, g_beta]), fit)
+    return pot_cvar(fit, alpha).variance
 
 
 # ---------------------------------------------------------------------------
@@ -689,13 +753,10 @@ def _tail_moments(fit: GpdFit, lam: float) -> np.ndarray:
     s = 1.0 - lam
     if s == 0.0:
         return np.zeros((2, 3))
-    big_l = _log_ratio(fit.zeta, lam)
-    rows = []
-    for m in (1, 2):
-        e = _excess_factor(fit.xi, big_l, m)
-        e_dxi = _excess_factor_dxi(fit.xi, big_l, m)
-        rows.append([s**m * (fit.u / m + fit.beta * e), s**m * fit.beta * e_dxi, s**m * e])
-    return np.array(rows)
+    big_l, m = float(_log_ratio(fit.zeta, lam)), np.array([1.0, 2.0])
+    e, e_dxi = _excess_factor(fit.xi, big_l, m), _excess_factor_dxi(fit.xi, big_l, m)
+    return np.column_stack([s**m * (fit.u / m + fit.beta * e), s**m * fit.beta * e_dxi,
+                            s**m * e])
 
 
 def _spectral_integral(fit: GpdFit, phi: SpectralMeasure) -> np.ndarray:
@@ -723,6 +784,6 @@ def spectral_pot(fit: GpdFit, phi: SpectralMeasure) -> RiskEstimate:
     For the CVaR spectrum both match :func:`pot_cvar` to round-off.
     """
     value, g_xi, g_beta = _spectral_integral(fit, phi)
-    variance = _quad_form_variance(np.array([g_xi, g_beta]), fit)
+    variance = _one_variance(*_quad_form([fit], g_xi, g_beta))
     return RiskEstimate(value=float(value), variance=variance, alpha=phi.support_lower,
                         method="spectral")

@@ -97,7 +97,8 @@ def estimate_site(method: str, samples, alpha: float,
 
     ``samples`` is a sequence of n loss samples (one per replication).
     ``gpd_fits`` optionally supplies pre-fitted tail models for the POT
-    methods so a fit can be shared across tail levels.
+    methods so a fit can be shared across tail levels; the samples are then
+    read only for the n = 1 fallback.
 
     When the delta-method variance is unavailable at a site (singular
     information), POT-EVT falls back to the squared-deviation variance for
@@ -106,7 +107,8 @@ def estimate_site(method: str, samples, alpha: float,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    samples = [evt_risk.as_sample(s) for s in samples]
+    if method in (ORD_KRG, EMP_EMP) or gpd_fits is None:
+        samples = [evt_risk.as_sample(s) for s in samples]
     n = len(samples)
     if n < 1:
         raise ValueError("need at least one replication")
@@ -123,27 +125,35 @@ def estimate_site(method: str, samples, alpha: float,
         gpd_fits = [evt_risk.fit_gpd(s, threshold_quantile) for s in samples]
     if len(gpd_fits) != n:
         raise ValueError("gpd_fits length must match the number of replications")
-    values = [evt_risk.pot_cvar_value(f, alpha) for f in gpd_fits]
+    return _pot_site_estimates(method, [samples], [gpd_fits], alpha)[0]
 
-    variances, fallbacks = [], 0
-    if method == POT_EVT:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
-            for fit in gpd_fits:
-                try:
-                    variances.append(evt_risk.delta_variance(fit, alpha))
-                except evt_risk.SingularInformationError:
-                    fallbacks += 1
-    if method == POT_EMP or (fallbacks and n >= 2):
-        var = _squared_deviation_variance(values)
-    elif fallbacks:
-        var = evt_risk.empirical_cvar(samples[0], alpha).variance
-    else:
-        var = float(np.sum(variances)) / n**2
-    return SiteEstimate(response=float(np.mean(values)), variance=var,
-                        fallbacks=fallbacks,
-                        heavy_tails=sum(1 for f in gpd_fits if f.xi >= 0.5),
-                        boundary_fits=sum(1 for f in gpd_fits if f.boundary))
+
+def _pot_site_estimates(method: str, samples, fits, alpha: float) -> list[SiteEstimate]:
+    """POT estimates of k sites from their k x n tail fits, all at once.
+
+    ``samples[i]`` and ``fits[i]`` hold site i's n replications and their
+    fits; a sample is read only for an n = 1 POT-EVT fallback. The rules
+    are :func:`estimate_site`'s.
+    """
+    k, n = len(fits), len(fits[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
+        values, variances, singular = (a.reshape(k, n) for a in evt_risk.pot_cvar_many(
+            [f for site in fits for f in site], alpha))
+    out = []
+    for i, site in enumerate(fits):
+        fallbacks = int(singular[i].sum()) if method == POT_EVT else 0
+        if method == POT_EMP or (fallbacks and n >= 2):
+            var = _squared_deviation_variance(values[i])
+        elif fallbacks:
+            var = evt_risk.empirical_cvar(samples[i][0], alpha).variance
+        else:
+            var = float(np.sum(variances[i])) / n**2
+        out.append(SiteEstimate(response=float(np.mean(values[i])), variance=var,
+                                fallbacks=fallbacks,
+                                heavy_tails=sum(f.xi >= 0.5 for f in site),
+                                boundary_fits=sum(f.boundary for f in site)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +374,10 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
             try:
                 if pot and fit_error is not None:
                     raise fit_error
-                ests = [estimate_site(method, data[i], alpha,
-                                      threshold_quantile=config.threshold_quantile,
-                                      gpd_fits=fits[i] if pot else None)
-                        for i in range(len(design))]
+                if pot:
+                    ests = _pot_site_estimates(method, data, fits, alpha)
+                else:
+                    ests = [estimate_site(method, site, alpha) for site in data]
                 model = kriging.fit([kriging.DesignSite(tuple(x), e.response, e.variance)
                                      for x, e in zip(design, ests)])
                 preds, _ = model.predict_many(test_points)

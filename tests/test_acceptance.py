@@ -232,7 +232,14 @@ def test_criterion_8_wilcoxon_exactness():
 
 
 def test_criterion_9_cmd_run_determinism(tmp_path):
-    cfg = {"version": 1, "scenarios": ["san"], "san_budgets": [1000],
+    """Two runs with one seed write byte-identical CSVs.
+
+    Both runs share this process's BLAS thread count. Byte-identity holds
+    only at a fixed BLAS thread count: another count changes the summation
+    order of the kriging linear algebra and can move MAPEs in their last
+    digits.
+    """
+    cfg ={"version": 1, "scenarios": ["san"], "san_budgets": [1000],
            "alphas": [0.95, 0.99], "macro_replications": 2, "seed": 1234,
            "methods": ["POT-EVT", "EMP-EMP", "ORD-KRG"]}
     cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Tests for empirical CVaR, the GPD machinery, and the POT estimators."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -531,6 +532,24 @@ class TestFitGpdProperties:
             assert loglik <= fit.loglik + 1e-9 * max(1.0, abs(fit.loglik))
 
 
+    @PROPERTY_SETTINGS
+    @given(z=gpd_or_bounded_exceedances())
+    def test_fit_terms_match_the_partials(self, z):
+        # The fit's one pass over z gives the same information, loglik and
+        # score sums as the public log-density, score and Hessian.
+        try:
+            fit = er.fit_gpd_exceedances(z)
+        except er.SingularInformationError:
+            return
+        h_xx, h_xb, h_bb = (float(np.mean(h)) for h in er.gpd_hessian(fit.xi, fit.beta, z))
+        np.testing.assert_allclose(fit.info, -np.array([[h_xx, h_xb], [h_xb, h_bb]]),
+                                   rtol=1e-12, atol=0.0)
+        assert fit.loglik == pytest.approx(float(np.sum(er.gpd_logpdf(fit.xi, fit.beta, z))),
+                                           rel=1e-12)
+        terms = er._gpd_terms(fit.xi, fit.beta, z, 2)
+        for got, want in zip(terms[1:3], er.gpd_score(fit.xi, fit.beta, z)):
+            assert float(got.sum()) == pytest.approx(float(want.sum()), rel=1e-12, abs=1e-300)
+
 def gpd_points(shapes):
     """(xi, beta, z): z holds GPD quantiles at levels 0.01-0.99 of (xi, beta).
 
@@ -740,6 +759,142 @@ class TestDeltaVariance:
             er.delta_variance(fit, 0.99)
 
 
+
+def rotated(log_lam, log_ratio, sign, angle):
+    """The symmetric 2x2 matrix R diag(l, s l r) R' with l = 10^log_lam, r = 10^log_ratio."""
+    lam = 10.0**log_lam
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot @ np.diag([lam, sign * lam * 10.0**log_ratio]) @ rot.T
+    return 0.5 * (m + m.T)
+
+
+def symmetric_matrices(log_ratio):
+    return st.builds(rotated, st.floats(-3.0, 3.0), log_ratio, st.sampled_from([1.0, -1.0]),
+                     st.floats(0.0, math.pi))
+
+
+# Shapes on the xi-series branch of the sensitivity, xi = 0 exactly, and the box.
+BATCH_SHAPES = st.one_of(st.floats(-1e-4, 1e-4), st.just(0.0), st.floats(-0.49, 0.99))
+
+
+def batch_fits(info):
+    """(alpha, fits): fits whose threshold levels lie at or below alpha."""
+    def build(args):
+        alpha, rows = args
+        return alpha, [er.GpdFit(u=u, n_total=10**6, n_exceed=n, zeta=(1 - alpha) + f * alpha,
+                                 xi=xi, beta=beta, info=m, loglik=0.0)
+                       for xi, beta, u, f, n, m in rows]
+
+    row = st.tuples(BATCH_SHAPES, st.floats(0.1, 10.0), st.floats(-5.0, 5.0),
+                    st.floats(0.0, 1.0), st.integers(er.MIN_EXCEEDANCES, 10_000), info)
+    return st.tuples(st.floats(0.9, 0.999), st.lists(row, min_size=1, max_size=8)).map(build)
+
+
+def spd_info():
+    """Well-conditioned information matrices L L' (condition number below 1e4)."""
+    return st.builds(lambda a, b, c: np.array([[a * a, a * b], [a * b, b * b + c * c]]),
+                     st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(0.1, 10.0))
+
+
+class TestPotCvarMany:
+    @PROPERTY_SETTINGS
+    @given(case=batch_fits(spd_info()))
+    def test_matches_a_linalg_reference(self, case):
+        alpha, fits = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", er.HeavyTailWarning)
+            values, variances, singular = er.pot_cvar_many(fits, alpha)
+        assert not singular.any()
+        for fit, value, variance in zip(fits, values, variances):
+            q = er.pot_var(fit, alpha)
+            assert value == pytest.approx(q + (fit.beta + fit.xi * (q - fit.u)) / (1 - fit.xi),
+                                          rel=1e-12, abs=1e-12)
+            grad = np.array(er.cvar_sensitivity(fit.xi, fit.beta, fit.u, fit.zeta, alpha))
+            want = grad @ np.linalg.solve(fit.info, grad) / fit.n_exceed
+            assert variance == pytest.approx(want, rel=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(case=batch_fits(symmetric_matrices(st.one_of(st.floats(-11.5, 0.0),
+                                                        st.floats(-16.0, -12.5)))))
+    def test_flags_where_linalg_fails(self, case):
+        # log10 of the eigenvalue ratio stays 0.5 away from the 1e12 limit, where
+        # np.linalg.cond is itself uncertain by about eps * 1e12.
+        alpha, fits = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", er.HeavyTailWarning)
+            _, variances, singular = er.pot_cvar_many(fits, alpha)
+        for fit, variance, flag in zip(fits, variances, singular):
+            try:
+                np.linalg.cholesky(fit.info)
+                failed = np.linalg.cond(fit.info) > er.INFO_MAX_CONDITION
+            except np.linalg.LinAlgError:
+                failed = True
+            assert flag == failed
+            assert math.isnan(variance) == failed
+
+    def test_flags_bad_matrices_without_raising(self):
+        base = dict(u=0.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.1, beta=1.0, loglik=0.0)
+        infos = [np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]]), np.eye(3),
+                 np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[0.0, 0.0], [0.0, 0.0]]),
+                 np.array([[-1.0, 0.0], [0.0, -2.0]])]
+        _, variances, singular = er.pot_cvar_many([er.GpdFit(info=m, **base) for m in infos],
+                                                  0.99)
+        assert singular.tolist() == [False, True, True, True, True, True]
+        assert variances[0] > 0.0 and np.isnan(variances[1:]).all()
+
+    def test_first_failing_fit_raises_the_scalar_error(self):
+        base = dict(u=0.0, n_total=1000, n_exceed=100, beta=1.0, info=np.eye(2), loglik=0.0)
+        ok = er.GpdFit(zeta=0.1, xi=0.1, **base)
+        heavy = er.GpdFit(zeta=0.1, xi=1.2, **base)
+        short = er.GpdFit(zeta=0.001, xi=0.1, **base)
+        for fits, alpha in (([ok, heavy, short], 0.99), ([ok, short, heavy], 0.99)):
+            first = next(f for f in fits if f is not ok)
+            with pytest.raises(er.RiskError) as scalar:
+                er.pot_cvar_value(first, alpha)
+            with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+                er.pot_cvar_many(fits, alpha)
+
+    def test_every_delta_variance_warns_on_heavy_tails(self):
+        fit = er.GpdFit(u=0.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.6,
+                        beta=1.0, info=np.eye(2), loglik=0.0)
+        for estimate in (lambda: er.delta_variance(fit, 0.99),
+                         lambda: er.pot_cvar(fit, 0.99),
+                         lambda: er.pot_cvar_many([fit], 0.99),
+                         lambda: er.spectral_pot(fit, er.SpectralMeasure.cvar(0.99))):
+            with pytest.warns(er.HeavyTailWarning, match="xi=0.600"):
+                estimate()
+
+    def test_batch_of_one_is_the_scalar_route(self):
+        fit = er.fit_gpd(np.random.default_rng(15).exponential(size=2000), 0.9)
+        values, variances, singular = er.pot_cvar_many([fit, fit], 0.99)
+        est = er.pot_cvar(fit, 0.99)
+        assert values.tolist() == [est.value] * 2 == [er.pot_cvar_value(fit, 0.99)] * 2
+        assert variances.tolist() == [est.variance] * 2 == [er.delta_variance(fit, 0.99)] * 2
+        assert not singular.any()
+
+
+class TestConditionNumber:
+    @PROPERTY_SETTINGS
+    @given(m=symmetric_matrices(st.floats(-4.0, 0.0)))
+    def test_matches_linalg_cond(self, m):
+        assert er._condition(m) == pytest.approx(np.linalg.cond(m), rel=1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(m=symmetric_matrices(st.floats(-14.0, -4.0)))
+    def test_matches_linalg_cond_near_singular(self, m):
+        # Both routes lose about eps * cond of relative accuracy in the
+        # smallest eigenvalue, so the tolerance grows with the condition.
+        ref = np.linalg.cond(m)
+        assert er._condition(m) == pytest.approx(ref, rel=max(1e-10, 1e-14 * ref))
+
+    def test_singular_and_extreme_scales(self):
+        assert er._condition(np.zeros((2, 2))) == math.inf
+        assert er._condition(np.array([[1.0, 1.0], [1.0, 1.0]])) == math.inf
+        for scale in (1e-300, 1e300):
+            m = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+            assert er._condition(m) == pytest.approx(np.linalg.cond(m / scale), rel=1e-14)
+
 class TestSpectral:
     @PROPERTY_SETTINGS
     @given(z=gpd_or_bounded_exceedances(), extra=st.integers(0, 5000),
@@ -773,6 +928,14 @@ class TestSpectral:
             dv = er.delta_variance(fit, 0.95)
         assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-12)
         assert est.variance == pytest.approx(dv, rel=1e-10)
+
+    def test_heavy_shape_variance_warns(self):
+        # The delta-method variance warns at xi >= 1/2 on the spectral route too.
+        fit = er.GpdFit(u=0.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.6,
+                        beta=1.0, info=np.eye(2), loglik=0.0)
+        with pytest.warns(er.HeavyTailWarning, match="xi=0.600 >= 0.5"):
+            est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.99))
+        assert est.variance == pytest.approx(32.25, rel=1e-3)
 
     def test_negative_shape_route(self):
         fit = er.GpdFit(u=1.0, n_total=2000, n_exceed=400, zeta=0.2, xi=-0.3,
@@ -878,6 +1041,7 @@ class TestSpectralReference:
                 er.SpectralMeasure.from_table(ramp_grid, np.array([0.0, 20.0]))]
 
     @pytest.mark.parametrize("xi", SHAPES)
+    @pytest.mark.filterwarnings("ignore::evtkrig.evt_risk.HeavyTailWarning")
     def test_value_and_partials(self, xi):
         fit = er.GpdFit(u=1.5, n_total=5000, n_exceed=750, zeta=0.15, xi=xi, beta=0.8,
                         info=np.eye(2), loglik=0.0)

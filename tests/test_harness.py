@@ -315,6 +315,24 @@ class TestRunExperiment:
         assert [r for r in recs if r is not bad] == [r for r in clean if r.sort_key()
                                                     != bad.sort_key()]
 
+    @pytest.mark.parametrize("scenario", ["pareto", "normal", "san"])
+    def test_pot_methods_run_without_numpy_linalg(self, monkeypatch, scenario):
+        # The tail fits and the POT estimates use closed forms for their 2x2
+        # matrices, so a run never touches numpy's LAPACK.
+        cfg = hn.ExperimentConfig(scenario=scenario, allocation=1, san_budget=1000,
+                                  alphas=(0.95, 0.99), macro_replications=1, seed=11,
+                                  n_test=20, methods=(hn.POT_EVT,))
+        clean = hn.run_experiment(cfg, threads=1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("cond", "svd", "cholesky", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        recs = hn.run_experiment(cfg, threads=1)
+        assert recs == clean
+        assert all(r.mape is not None for r in recs)
+
     def test_san_test_set_has_test_points_grid_points(self):
         base = dict(scenario="san", san_budget=1000, alphas=(0.95,),
                     macro_replications=1, seed=9, methods=(hn.EMP_EMP,))
