@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,7 +85,8 @@ def read_csv(path: str, columns: int | None = None) -> np.ndarray:
     of each row (every cell by default).
 
     A first row that does not parse is a header. Rows whose cells are all
-    blank are skipped; a blank cell in any other row is an error.
+    blank are skipped; a blank cell in any other row, or a non-finite one
+    (nan, inf) in any row, is an error.
     """
     rows = []
     try:
@@ -96,11 +98,14 @@ def read_csv(path: str, columns: int | None = None) -> np.ndarray:
                 if not all(cells):
                     raise ValidationFailure(f"{path}: empty cell on line {line}")
                 try:
-                    rows.append([float(c) for c in cells])
+                    values = [float(c) for c in cells]
                 except ValueError:
                     if line == 1:
                         continue  # header
                     raise ValidationFailure(f"{path}: non-numeric value on line {line}")
+                if not all(map(math.isfinite, values)):
+                    raise ValidationFailure(f"{path}: non-finite value on line {line}")
+                rows.append(values)
     except OSError as exc:
         raise ValidationFailure(f"cannot read {path}: {exc}")
     if not rows:

@@ -30,7 +30,6 @@ from scipy import optimize
 
 __all__ = [
     "RiskEstimate",
-    "TailTransform",
     "GpdFit",
     "SpectralMeasure",
     "RiskError",
@@ -43,7 +42,6 @@ __all__ = [
     "HeavyTailWarning",
     "as_sample",
     "empirical_var",
-    "tail_transform",
     "empirical_cvar",
     "gpd_cdf",
     "gpd_logpdf",
@@ -121,18 +119,6 @@ class RiskEstimate:
 
 
 @dataclass(frozen=True)
-class TailTransform:
-    """The tail-average transform W_i = q + (x_i - q)+ / (1 - alpha_eff).
-
-    ``alpha_eff`` is the realized non-exceedance fraction 1 - m/n (m = tail
-    count), which makes mean(w) reproduce the tail average exactly.
-    """
-
-    w: np.ndarray
-    w_bar: float
-
-
-@dataclass(frozen=True)
 class GpdFit:
     """A fitted GPD tail model over exceedances of threshold ``u``.
 
@@ -177,48 +163,46 @@ def _check_alpha(alpha: float, name: str = "alpha") -> float:
     return float(alpha)
 
 
-def empirical_var(sample, alpha: float) -> float:
-    """Smallest order statistic at which the empirical CDF reaches alpha.
-
-    This is the ceil(alpha * n)-th order statistic; a 1e-9 slack guards the
-    ceiling against float representation of alpha at exact multiples.
+def _order_index(alpha: float, n: int) -> int:
+    """ceil(alpha n), clipped to [1, n]: the rank of the smallest of n >= 2
+    order statistics at which the empirical CDF reaches alpha. A 1e-9 slack
+    guards the ceiling against float representation of alpha at exact
+    multiples.
     """
-    x = as_sample(sample)
-    alpha = _check_alpha(alpha)
-    n = x.size
     if n < 2:
         raise ValueError("empirical quantile needs at least 2 observations")
-    k = int(math.ceil(alpha * n - 1e-9))
-    k = min(max(k, 1), n)
-    return float(np.partition(x, k - 1)[k - 1])
+    return min(max(math.ceil(alpha * n - 1e-9), 1), n)
 
 
-def tail_transform(sample, alpha: float) -> TailTransform:
-    """Tail-average transform of the sample at level alpha."""
+def empirical_var(sample, alpha: float) -> float:
+    """Smallest order statistic at which the empirical CDF reaches alpha:
+    the :func:`_order_index`-th."""
     x = as_sample(sample)
-    alpha = _check_alpha(alpha)
-    q = empirical_var(x, alpha)
-    m = int(np.count_nonzero(x >= q))
-    if m < 2:
-        raise InsufficientTailError(
-            f"only {m} observation(s) at or beyond the {alpha} quantile; need >= 2")
-    w = q + np.maximum(x - q, 0.0) * (x.size / m)
-    return TailTransform(w=w, w_bar=float(w.mean()))
+    k = _order_index(_check_alpha(alpha), x.size)
+    return float(np.partition(x, k - 1)[k - 1])
 
 
 def empirical_cvar(sample, alpha: float) -> RiskEstimate:
     """Empirical CVaR (tail average) with its transform-based variance.
 
-    The value is the mean of observations at or beyond the empirical
-    quantile; the variance is sum((W_i - W_bar)^2) / (n (n - 1)) over the
-    tail-average transform.
+    With q the empirical quantile and m the count of observations at or
+    beyond it, the tail-average transform W_i = q + (x_i - q)+ n / m has
+    mean equal to the tail average, the value; the variance is
+    sum((W_i - W_bar)^2) / (n (n - 1)).
     """
-    tt = tail_transform(sample, alpha)
-    n = tt.w.size
-    dev = tt.w - tt.w_bar
-    variance = float(dev @ dev) / (n * (n - 1))
-    return RiskEstimate(value=tt.w_bar, variance=variance, alpha=float(alpha),
-                        method="empirical")
+    x = as_sample(sample)
+    alpha, n = _check_alpha(alpha), x.size
+    k = _order_index(alpha, n)
+    q = float(np.partition(x, k - 1)[k - 1])
+    m = int(np.count_nonzero(x >= q))
+    if m < 2:
+        raise InsufficientTailError(
+            f"only {m} observation(s) at or beyond the {alpha} quantile; need >= 2")
+    w = q + np.maximum(x - q, 0.0) * (n / m)
+    w_bar = float(w.mean())
+    dev = w - w_bar
+    return RiskEstimate(value=w_bar, variance=float(dev @ dev) / (n * (n - 1)),
+                        alpha=alpha, method="empirical")
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +470,9 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
 def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
     """Threshold a sample at an empirical quantile and fit the GPD tail.
 
-    The threshold defaults to the 0.9 quantile. At least 30 exceedances are
-    required; if the quantile leaves fewer, the threshold is lowered to the
-    order statistic giving exactly 30, and samples under 60 observations
+    The threshold is the min(ceil(q N), N - 30)-th of the N order statistics
+    (q defaults to 0.9; see :func:`_order_index`), so at least 30 exceedances
+    are left unless ties sit at the threshold. Samples under 60 observations
     are rejected outright.
     """
     x = as_sample(sample)
@@ -497,16 +481,13 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
     if n < 2 * MIN_EXCEEDANCES:
         raise InsufficientDataError(
             f"need at least {2 * MIN_EXCEEDANCES} observations for a tail fit, got {n}")
-    u = empirical_var(x, threshold_quantile)
+    k = min(_order_index(threshold_quantile, n), n - MIN_EXCEEDANCES)
+    u = float(np.partition(x, k - 1)[k - 1])
     z = x[x > u] - u
     if z.size < MIN_EXCEEDANCES:
-        xs = np.sort(x)
-        u = float(xs[n - MIN_EXCEEDANCES - 1])
-        z = x[x > u] - u
-        if z.size < MIN_EXCEEDANCES:
-            raise InsufficientTailError(
-                f"only {z.size} strict exceedances available after lowering the "
-                f"threshold (ties at the threshold?)")
+        raise InsufficientTailError(
+            f"only {z.size} strict exceedances available after lowering the "
+            f"threshold (ties at the threshold?)")
     return fit_gpd_exceedances(z, n_total=n, u=u, threshold_quantile=threshold_quantile)
 
 

@@ -62,6 +62,8 @@ POT_EMP = "POT-EMP"
 EMP_EMP = "EMP-EMP"
 POT_EVT = "POT-EVT"
 METHODS = (ORD_KRG, POT_EMP, EMP_EMP, POT_EVT)
+# The methods whose response is the POT CVaR of a GPD tail fit.
+_POT_METHODS = (POT_EVT, POT_EMP)
 
 SAN_DESIGN_POINTS = 7
 MAPE_TRUTH_FLOOR = 1e-9
@@ -84,12 +86,6 @@ class SiteEstimate:
     boundary_fits: int = 0
 
 
-def _squared_deviation_variance(values) -> float:
-    """Across-replication squared-deviation estimate of Var(mean)."""
-    v = np.asarray(values, dtype=float)
-    return float(v.var(ddof=1)) / v.size
-
-
 def estimate_site(method: str, samples, alpha: float,
                   threshold_quantile: float = 0.9,
                   gpd_fits=None) -> SiteEstimate:
@@ -98,61 +94,63 @@ def estimate_site(method: str, samples, alpha: float,
     ``samples`` is a sequence of n loss samples (one per replication).
     ``gpd_fits`` optionally supplies pre-fitted tail models for the POT
     methods so a fit can be shared across tail levels; the samples are then
-    read only for the n = 1 fallback.
-
-    When the delta-method variance is unavailable at a site (singular
-    information), POT-EVT falls back to the squared-deviation variance for
-    n >= 2 and to the tail-average-transform variance of the single
-    replication for n = 1; fallbacks are counted in the result.
+    read only for the n = 1 fallback. The rules are :func:`_site_estimates`'s.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in (ORD_KRG, EMP_EMP) or gpd_fits is None:
-        samples = [evt_risk.as_sample(s) for s in samples]
     n = len(samples)
     if n < 1:
         raise ValueError("need at least one replication")
     if method == POT_EMP and n < 2:
         raise ValueError("POT-EMP needs n >= 2 replications to estimate a variance")
-
-    if method in (ORD_KRG, EMP_EMP):
-        ests = [evt_risk.empirical_cvar(s, alpha) for s in samples]
-        var = float(np.sum([e.variance for e in ests])) / n**2
-        return SiteEstimate(response=float(np.mean([e.value for e in ests])),
-                            variance=var if method == EMP_EMP else 0.0)
-
-    if gpd_fits is None:
+    if method in _POT_METHODS and gpd_fits is None:
         gpd_fits = [evt_risk.fit_gpd(s, threshold_quantile) for s in samples]
-    if len(gpd_fits) != n:
+    if method in _POT_METHODS and len(gpd_fits) != n:
         raise ValueError("gpd_fits length must match the number of replications")
-    return _pot_site_estimates(method, [samples], [gpd_fits], alpha)[0]
+    return _site_estimates(method, [samples], [gpd_fits], alpha)[0]
 
 
-def _pot_site_estimates(method: str, samples, fits, alpha: float) -> list[SiteEstimate]:
-    """POT estimates of k sites from their k x n tail fits, all at once.
+def _site_estimates(method: str, samples, fits, alpha: float) -> list[SiteEstimate]:
+    """One method's estimates of k sites at level ``alpha``.
 
-    ``samples[i]`` and ``fits[i]`` hold site i's n replications and their
-    fits; a sample is read only for an n = 1 POT-EVT fallback. The rules
-    are :func:`estimate_site`'s.
+    ``samples[i]`` holds site i's n replications and ``fits[i]`` their tail
+    fits, which only the POT methods read. The response is the mean over
+    replications of the empirical CVaR (ORD-KRG, EMP-EMP) or the POT CVaR
+    (POT-EMP, POT-EVT). The variance of that mean is zero (ORD-KRG), the
+    replications' squared deviation over n (POT-EMP), or sum(V_j) / n^2 over
+    their tail-average-transform (EMP-EMP) or delta-method (POT-EVT)
+    variances V_j. Where a POT-EVT fit's information is singular, the site
+    falls back to the squared deviation for n >= 2 and to the transform
+    variance of its one sample for n = 1; fallbacks are counted.
     """
-    k, n = len(fits), len(fits[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
-        values, variances, singular = (a.reshape(k, n) for a in evt_risk.pot_cvar_many(
-            [f for site in fits for f in site], alpha))
+    k, n = len(samples), len(samples[0])
+    pot = method in _POT_METHODS
+    if pot:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
+            values, variances, singular = (a.reshape(k, n) for a in evt_risk.pot_cvar_many(
+                [f for site in fits for f in site], alpha))
+    else:
+        ests = [evt_risk.empirical_cvar(s, alpha) for site in samples for s in site]
+        values, variances = (np.array([getattr(e, name) for e in ests]).reshape(k, n)
+                             for name in ("value", "variance"))
+        singular = np.zeros((k, n), bool)
     out = []
-    for i, site in enumerate(fits):
+    for i in range(k):
         fallbacks = int(singular[i].sum()) if method == POT_EVT else 0
-        if method == POT_EMP or (fallbacks and n >= 2):
-            var = _squared_deviation_variance(values[i])
+        if method == ORD_KRG:
+            var = 0.0
+        elif method == POT_EMP or (fallbacks and n >= 2):
+            var = float(values[i].var(ddof=1)) / n
         elif fallbacks:
             var = evt_risk.empirical_cvar(samples[i][0], alpha).variance
         else:
             var = float(np.sum(variances[i])) / n**2
+        site_fits = fits[i] if pot else ()
         out.append(SiteEstimate(response=float(np.mean(values[i])), variance=var,
                                 fallbacks=fallbacks,
-                                heavy_tails=sum(f.xi >= 0.5 for f in site),
-                                boundary_fits=sum(f.boundary for f in site)))
+                                heavy_tails=sum(f.xi >= 0.5 for f in site_fits),
+                                boundary_fits=sum(f.boundary for f in site_fits)))
     return out
 
 
@@ -234,11 +232,11 @@ class ExperimentConfig:
                     allocation_by_id(self.allocation)
                 except ValueError as exc:
                     problems.append(("allocation", str(exc)))
-        if not problems and {POT_EVT, POT_EMP} & set(self.resolved_methods()):
+        if not problems and set(_POT_METHODS) & set(self.resolved_methods()):
             # fit_gpd's threshold: the ceil(q N)-th order statistic, lowered to
             # leave MIN_EXCEEDANCES above it. POT covers only levels at or above it.
             n = self.budget_allocation.n_obs
-            level = min(math.ceil(self.threshold_quantile * n - 1e-9),
+            level = min(evt_risk._order_index(self.threshold_quantile, n),
                         n - evt_risk.MIN_EXCEEDANCES) / n
             if min(self.alphas) < level:
                 problems.append(("alphas", f"must be >= {level:.6g}, the POT threshold "
@@ -357,9 +355,8 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
         for arr in site:
             digest = zlib.crc32(arr.tobytes(), digest)
 
-    pot_methods = (POT_EVT, POT_EMP)
     fits, fit_error = [], None
-    if any(m in pot_methods for m in roster):
+    if set(_POT_METHODS) & set(roster):
         try:
             fits = [[evt_risk.fit_gpd(s, config.threshold_quantile) for s in site]
                     for site in data]
@@ -368,16 +365,12 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
 
     records = []
     for method in roster:
-        pot = method in pot_methods
         for alpha in config.alphas:
             mape, diag = None, f"data={digest:08x}"
             try:
-                if pot and fit_error is not None:
+                if fit_error is not None and method in _POT_METHODS:
                     raise fit_error
-                if pot:
-                    ests = _pot_site_estimates(method, data, fits, alpha)
-                else:
-                    ests = [estimate_site(method, site, alpha) for site in data]
+                ests = _site_estimates(method, data, fits, alpha)
                 model = kriging.fit([kriging.DesignSite(tuple(x), e.response, e.variance)
                                      for x, e in zip(design, ests)])
                 preds, _ = model.predict_many(test_points)
@@ -405,8 +398,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRec
     fixed seed yields identical output regardless of ``threads``. At most
     one worker process per macro-replication is started.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not (_is_int(threads) and threads >= 1):
+        raise ValueError(f"threads must be >= 1 (an integer), got {threads!r}")
     config.validate()
     probe = _design_points(config, 0)
     test_points = _test_set(config, probe)

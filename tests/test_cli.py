@@ -239,6 +239,16 @@ class TestPredict:
         assert run_cli("predict", "--model", mp, "--points", pts) == 1
         assert "empty cell on line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_point_rejected(self, model_file, tmp_path, capsys, cell):
+        p, _ = model_file
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"x1\n0.5\n{cell}\n")
+        assert run_cli("predict", "--model", p, "--points", pts) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{pts}: non-finite value on line 3" in err
+
 
 SAN_CONFIG = {"version": 1, "scenarios": ["san"], "san_budgets": [1000],
               "alphas": [0.99], "macro_replications": 1, "seed": 5,

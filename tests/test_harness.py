@@ -1,16 +1,18 @@
 """Tests for site estimation, the experiment pipeline, and the signed-rank test."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from evtkrig import evt_risk as er
 from evtkrig import harness as hn
 from evtkrig import kriging as kg
 from evtkrig import models
-from evtkrig.design import Domain, allocation_by_id, lhs
+from evtkrig.design import BudgetAllocation, Domain, allocation_by_id, lhs
 from evtkrig.rng import RngStream
 
 
@@ -82,6 +84,25 @@ class TestEstimateSite:
         values = [er.pot_cvar_value(f, 0.99) for f in [bad0] + fits[1:]]
         assert est.fallbacks == 1
         assert est.variance == pytest.approx(np.var(values, ddof=1) / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_k_sites_equal_one_site_at_a_time(self, n):
+        # One macro-rep's sites through the run's k-site path and through
+        # estimate_site one site at a time; a singular fit at site 2 makes
+        # POT-EVT fall back. n = 1 drops POT-EMP, n = 3 keeps all four methods.
+        cfg = hn.ExperimentConfig(scenario="pareto",
+                                  allocation=BudgetAllocation(0, 6, n, 300, 1800 * n))
+        data = [hn._simulate_site(cfg, x, 0, i)
+                for i, x in enumerate(hn._design_points(cfg, 0))]
+        fits = [[er.fit_gpd(s, cfg.threshold_quantile) for s in site] for site in data]
+        fits[2][0] = dataclasses.replace(fits[2][0], info=np.ones((2, 2)))
+        assert len(cfg.resolved_methods()) == (3 if n == 1 else 4)
+        for method, alpha in itertools.product(cfg.resolved_methods(), (0.95, 0.99)):
+            batch = hn._site_estimates(method, data, fits, alpha)
+            assert batch == [hn.estimate_site(method, site, alpha, gpd_fits=site_fits)
+                             for site, site_fits in zip(data, fits)]
+            assert [e.fallbacks for e in batch] == [
+                int(method == hn.POT_EVT and i == 2) for i in range(6)]
 
 
 class TestExperimentConfig:
@@ -156,6 +177,23 @@ class TestExperimentConfig:
         with pytest.raises(hn.ConfigError, match="alphas"):
             hn.ExperimentConfig(alphas=(level - 1e-9,), **cell).validate()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(60, 5000),
+           q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fit_threshold_level_is_the_validated_floor(self, n, q, seed):
+        # On a tie-free sample 1 - zeta is the threshold's rank over n, and
+        # validate admits exactly the levels at or above it.
+        x = np.random.default_rng(seed).permutation(n) + 1.0
+        fit = er.fit_gpd(x, q)
+        level = (n - fit.n_exceed) / n
+        assert 1.0 - fit.zeta == pytest.approx(level, rel=0.0, abs=1e-15)
+        cell = dict(scenario="normal", allocation=BudgetAllocation(0, 5, 1, n, 5 * n),
+                    threshold_quantile=q, methods=(hn.POT_EVT,))
+        hn.ExperimentConfig(alphas=(level,), **cell).validate()
+        with pytest.raises(hn.ConfigError, match="alphas"):
+            hn.ExperimentConfig(alphas=(float(np.nextafter(level, 0.0)),), **cell).validate()
+
 
 class TestRunExperiment:
     def test_oracle_responses_give_near_zero_mape(self):
@@ -224,18 +262,20 @@ class TestRunExperiment:
                                   macro_replications=2, seed=9, methods=(hn.EMP_EMP,))
         assert hn.run_experiment(cfg, threads=64) == hn.run_experiment(cfg)
         assert sizes == [2]
-        with pytest.raises(ValueError, match="threads"):
-            hn.run_experiment(cfg, threads=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="threads"):
+                hn.run_experiment(cfg, threads=bad)
 
-    def test_program_error_is_not_a_failed_cell(self, monkeypatch):
+    @pytest.mark.parametrize("method", [hn.EMP_EMP, hn.POT_EVT])
+    def test_program_error_is_not_a_failed_cell(self, monkeypatch, method):
         # Only numerical failures become failed records; a ValueError is a bug.
         def broken(*args, **kwargs):
-            raise ValueError("bug in estimate_site")
+            raise ValueError("bug in _site_estimates")
 
-        monkeypatch.setattr(hn, "estimate_site", broken)
+        monkeypatch.setattr(hn, "_site_estimates", broken)
         cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(0.95,),
-                                  macro_replications=1, seed=9, methods=(hn.EMP_EMP,))
-        with pytest.raises(ValueError, match="bug in estimate_site"):
+                                  macro_replications=1, seed=9, methods=(method,))
+        with pytest.raises(ValueError, match="bug in _site_estimates"):
             hn.run_experiment(cfg, threads=1)
 
     def test_gpd_failure_fails_only_the_pot_cells_of_its_macro_rep(self, monkeypatch):
