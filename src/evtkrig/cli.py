@@ -4,17 +4,13 @@ Subcommands
 -----------
 fit-gpd    fit a GPD tail to a CSV column of losses, emit a JSON report
 estimate   one CVaR estimate (empirical / pot / spectral) from a CSV column
-run        execute an experiment grid from a JSON config, emit result CSVs
+run        run the experiment grid a JSON config defines in full; emit result CSVs
 predict    evaluate a serialized kriging model at points from a CSV
 design     emit a Latin-hypercube or equally spaced design as CSV
 
 Exit codes: 0 success, 1 validation error (arguments, config schema,
 malformed input), 2 numerical failure (a tail fit or tail estimate failed,
 or a kriging covariance would not factor).
-
-Flags ``--seed``, ``--threads`` and ``--out-dir`` may also be supplied via
-the environment as ``EVTKRIG_SEED``, ``EVTKRIG_THREADS`` and
-``EVTKRIG_OUT_DIR``; explicit flags win over the environment.
 
 Config schema (version 1): a JSON object whose ``version`` is 1. Three
 list keys span the grid; each scenario with each of its allocations (or SAN
@@ -38,7 +34,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -49,7 +44,6 @@ from .design import Domain, equally_spaced, lhs
 from .harness import _distinct, _fmt
 from .rng import RngStream
 
-ENV_PREFIX = "EVTKRIG_"
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
@@ -67,17 +61,6 @@ _KEY_OF_FIELD = {field: key for key, field in {**_GRID_KEYS, **_CELL_KEYS}.items
 
 class ValidationFailure(Exception):
     """Bad user input: arguments, config schema, or malformed CSV."""
-
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValidationFailure(f"environment variable {ENV_PREFIX}{name}={raw!r} "
-                                f"is not a valid {cast.__name__}")
 
 
 def read_csv(path: str, columns: int | None = None) -> np.ndarray:
@@ -163,11 +146,8 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path: str, seed: int | None = None) -> list[harness.ExperimentConfig]:
-    """Expand a config file into its validated experiment cells.
-
-    ``seed``, when given, replaces the config's seed in every cell.
-    """
+def _load_config(path: str) -> list[harness.ExperimentConfig]:
+    """Expand a config file into its validated experiment cells."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -201,8 +181,6 @@ def _load_config(path: str, seed: int | None = None) -> list[harness.ExperimentC
 
     shared = {field: tuple(raw[key]) if isinstance(raw[key], list) else raw[key]
               for key, field in _CELL_KEYS.items() if key in raw}
-    if seed is not None:
-        shared["seed"] = seed
     cells = []
     for scenario in scenarios:
         key = "san_budgets" if scenario == "san" else "allocations"
@@ -220,7 +198,7 @@ def _load_config(path: str, seed: int | None = None) -> list[harness.ExperimentC
 
 
 def cmd_run(args) -> int:
-    cells = _load_config(args.config, seed=args.seed)
+    cells = _load_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -267,7 +245,7 @@ def cmd_design(args) -> int:
     try:
         domain = Domain(lower, upper)
         if args.kind == "lhs":
-            pts = lhs(domain, args.count, RngStream(42 if args.seed is None else args.seed))
+            pts = lhs(domain, args.count, RngStream(args.seed))
         else:
             pts = equally_spaced(domain, args.count)
     except ValueError as exc:
@@ -302,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an experiment grid from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", default=_env_default("OUT_DIR", str, "results"))
-    p.add_argument("--seed", type=int, default=_env_default("SEED", int, None))
-    p.add_argument("--threads", type=int, default=_env_default("THREADS", int, 1))
+    p.add_argument("--out-dir", default="results")
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("predict", help="evaluate a serialized kriging model")
@@ -318,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", required=True, help="comma-separated lower bounds")
     p.add_argument("--upper", required=True, help="comma-separated upper bounds")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_env_default("SEED", int, None))
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)
     return parser
@@ -326,12 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ValidationFailure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

@@ -117,8 +117,7 @@ class TestDesign:
         assert vals[0] == 0.3 and vals[-1] == 2.0
         assert np.allclose(np.diff(vals), 1.7 / 6)
 
-    def test_seed_zero_is_its_own_seed(self, capsys, monkeypatch):
-        monkeypatch.delenv("EVTKRIG_SEED", raising=False)
+    def test_seed_zero_is_its_own_seed(self, capsys):
         outputs = {}
         for seed in (None, 0, 42):
             extra = () if seed is None else ("--seed", seed)
@@ -334,26 +333,19 @@ class TestRun:
         for name in ("results.csv", "summary.csv", "boxplot.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_seed_flag_overrides_config(self, tmp_path, capsys):
+    def test_environment_is_not_read(self, tmp_path, capsys, monkeypatch):
         cfg = self.write_config(tmp_path / "cfg.json")
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli("run", "--config", cfg, "--out-dir", a) == 0
-        assert run_cli("run", "--config", cfg, "--out-dir", b, "--seed", "99") == 0
-        assert (a / "results.csv").read_text() != (b / "results.csv").read_text()
-
-    def test_invalid_env_var_is_validation_error(self, tmp_path, capsys, monkeypatch):
-        cfg = self.write_config(tmp_path / "cfg.json")
+        clean, a, elsewhere = tmp_path / "clean", tmp_path / "a", tmp_path / "elsewhere"
+        assert run_cli("run", "--config", cfg, "--out-dir", clean) == 0
         monkeypatch.setenv("EVTKRIG_SEED", "banana")
-        assert run_cli("run", "--config", cfg, "--out-dir", tmp_path / "x") == 1
-        assert "EVTKRIG_SEED" in capsys.readouterr().err
-
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        cfg = self.write_config(tmp_path / "cfg.json")
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli("run", "--config", cfg, "--out-dir", b, "--seed", "99") == 0
-        monkeypatch.setenv("EVTKRIG_SEED", "99")
+        monkeypatch.setenv("EVTKRIG_THREADS", "0")
+        monkeypatch.setenv("EVTKRIG_OUT_DIR", str(elsewhere))
         assert run_cli("run", "--config", cfg, "--out-dir", a) == 0
-        assert (a / "results.csv").read_text() == (b / "results.csv").read_text()
+        for name in ("results.csv", "summary.csv", "boxplot.csv"):
+            assert (a / name).read_bytes() == (clean / name).read_bytes()
+        assert not elsewhere.exists()
+        # The seed is the config's alone; run has no --seed.
+        assert run_cli("run", "--config", cfg, "--out-dir", a, "--seed", "99") == 1
 
     def test_unknown_allocation_id(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json", scenarios=["pareto"],
@@ -379,15 +371,11 @@ class TestRun:
         assert err.count("  - seed: ") == 1
         assert err.count("  - san_budgets: ") == 1
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "-3")])
-    def test_threads_below_one_rejected(self, flag, env, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
+    def test_threads_below_one_rejected(self, flag, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json")
-        args = ["run", "--config", cfg, "--out-dir", tmp_path / "x"]
-        if flag is not None:
-            args += ["--threads", flag]
-        if env is not None:
-            monkeypatch.setenv("EVTKRIG_THREADS", env)
-        assert run_cli(*args) == 1
+        assert run_cli("run", "--config", cfg, "--out-dir", tmp_path / "x",
+                       "--threads", flag) == 1
         assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_threads_give_identical_output(self, tmp_path, capsys):
