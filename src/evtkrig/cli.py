@@ -75,9 +75,9 @@ def read_csv(path: str, columns: int | None = None) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
             for line, row in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in row[:columns]]
-                if not any(cells):
+                if not any(map(str.strip, row)):
                     continue
+                cells = [c.strip() for c in row[:columns]]
                 if not all(cells):
                     raise ValidationFailure(f"{path}: empty cell on line {line}")
                 try:

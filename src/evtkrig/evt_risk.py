@@ -339,9 +339,9 @@ def _slope_solve(fun, x0, bounds, **_) -> optimize.OptimizeResult:
     adjacent floats. Every bracket holds a change of F' from - to +, a
     minimum.
 
-    It goes through ``minimize`` only so that the benchmark tracer, which
-    counts optimizer work at ``minimize``, reads the true ``nfev``; the
-    hook stays until ROADMAP item 1 counts work at the package's objectives.
+    ``models.san_var`` calls it directly. ``fit_gpd_exceedances`` goes through
+    ``minimize`` only so that the benchmark tracer, which counts optimizer work
+    at ``minimize``, reads the true ``nfev``, until the package counts its own.
     """
     (lo, hi), = bounds
     nfev = 0

@@ -353,7 +353,7 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
     digest = 0
     for site in data:
         for arr in site:
-            digest = zlib.crc32(arr.tobytes(), digest)
+            digest = zlib.crc32(arr, digest)
 
     fits, fit_error = [], None
     if set(_POT_METHODS) & set(roster):

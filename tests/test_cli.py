@@ -97,6 +97,22 @@ class TestEstimate:
         assert run_cli("estimate", "--input", p, "--alpha", "0.8") == 0
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(9.0)
 
+    def test_blank_first_cell_is_not_dropped(self, tmp_path, capsys):
+        # Only the first column is read, but the row is not blank: the empty
+        # loss is an error, as it is when every column is read.
+        p = tmp_path / "gap.csv"
+        p.write_text("loss\n1.0\n,5\n3.0\n")
+        assert run_cli("estimate", "--input", p, "--alpha", "0.5",
+                       "--method", "empirical") == 1
+        assert "empty cell on line 3" in capsys.readouterr().err
+
+    def test_blank_rows_are_skipped(self, tmp_path, capsys):
+        p = tmp_path / "spaced.csv"
+        p.write_text("loss\n1.0\n\n , \n3.0\n")
+        assert run_cli("estimate", "--input", p, "--alpha", "0.5",
+                       "--method", "empirical") == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
+
 
 class TestDesign:
     def test_lhs_quartiles(self, capsys):

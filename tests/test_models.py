@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 from scipy.stats import norm
 
 from evtkrig import models
@@ -187,6 +188,17 @@ class TestSanOracle:
     def test_var_inverts_cdf(self):
         q = models.san_var(1.0, 0.95)
         assert models.san_cdf(q, 1.0) == pytest.approx(0.95, abs=1e-8)
+
+    @pytest.mark.parametrize("x", (0.3, 0.7, 1.0, 1.5, 2.0))
+    @pytest.mark.parametrize("alpha", (1e-6, 0.1, 0.5, 0.95, 0.99, 0.995, 0.9999))
+    def test_var_is_the_slope_solve_root(self, x, alpha):
+        # The quantile minimizes q + E(L - q)^+ / (1 - alpha); the solve stops once
+        # its slope, scaled to (F(q) - alpha) / min(alpha, 1 - alpha), is within 1e-10.
+        q = models.san_var(x, alpha)
+        assert abs(models.san_cdf(q, x) - alpha) <= 1e-10 * min(alpha, 1.0 - alpha)
+        ref = optimize.brentq(lambda t: models.san_cdf(t, x) - alpha, 0.0, 100.0,
+                              xtol=1e-15, rtol=1e-15, maxiter=500)
+        assert q == pytest.approx(ref, rel=1e-10)
 
     def test_monte_carlo_agreement(self):
         draws = models.san_simulate(1.0, 1_000_000, RngStream(37))
