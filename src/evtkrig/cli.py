@@ -31,7 +31,9 @@ every cell is reported before exit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import gc
 import json
 import math
 import sys
@@ -67,23 +69,24 @@ def read_csv(path: str, columns: int | None = None) -> np.ndarray:
     """Read CSV rows as a 2-D float array, taking the first ``columns`` cells
     of each row (every cell by default).
 
-    A first row that does not parse is a header. Rows whose cells are all
-    blank are skipped; a blank cell in any other row, or a non-finite one
-    (nan, inf) in any row, is an error.
+    Rows whose cells are all blank are skipped. The first row that is not
+    is a header if it does not parse. Any other blank cell, or a non-finite
+    cell (nan, inf), is an error.
     """
-    rows = []
+    rows, first = [], True
     try:
         with open(path, newline="") as fh:
             for line, row in enumerate(csv.reader(fh), start=1):
                 if not any(map(str.strip, row)):
                     continue
+                header_allowed, first = first, False
                 cells = [c.strip() for c in row[:columns]]
                 if not all(cells):
                     raise ValidationFailure(f"{path}: empty cell on line {line}")
                 try:
                     values = [float(c) for c in cells]
                 except ValueError:
-                    if line == 1:
+                    if header_allowed:
                         continue  # header
                     raise ValidationFailure(f"{path}: non-numeric value on line {line}")
                 if not all(map(math.isfinite, values)):
@@ -198,12 +201,17 @@ def _load_config(path: str) -> list[harness.ExperimentConfig]:
 
 
 def cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ValidationFailure(f"threads must be >= 1, got {args.threads}")
     cells = _load_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # One pool serves every cell in turn; a cell's macro-replications are its tasks.
+    workers = min(args.threads, max(cell.macro_replications for cell in cells))
     records = []
-    for cell in cells:
-        records.extend(harness.run_experiment(cell, threads=args.threads))
+    with harness.process_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for cell in cells:
+            records.extend(harness.run_experiment(cell, pool))
     harness.write_results_csv(records, out_dir / "results.csv")
     harness.write_summary_csv(records, out_dir / "summary.csv")
     harness.write_boxplot_csv(records, out_dir / "boxplot.csv")
@@ -316,5 +324,17 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def entry(argv=None) -> int:
+    """Program entry (the ``evtkrig`` script and ``python -m evtkrig.cli``).
+
+    Freezes the objects imported so far before running :func:`main`: the
+    collector never scans them again, so forked workers keep sharing their
+    pages and the process skips collecting them at exit. In-process callers
+    use :func:`main`, which leaves the collector alone.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

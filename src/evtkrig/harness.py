@@ -24,11 +24,15 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import numbers
+import os
+import threading
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 import numpy as np
 from scipy import special
@@ -49,6 +53,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultRecord",
     "estimate_site",
+    "process_pool",
     "run_experiment",
     "wilcoxon_signed_rank",
     "compare_methods",
@@ -387,32 +392,47 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
     return records
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[ResultRecord]:
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as the process that started it
+    is gone, so a killed run leaves no worker behind."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes for :func:`run_experiment`, each of which
+    exits once its parent process does. Close it (``with``) when done."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+
+
+def run_experiment(config: ExperimentConfig,
+                   pool: Executor | None = None) -> list[ResultRecord]:
     """Run every (method, alpha, macro-rep) cell of one experiment.
 
     All methods consume the same simulated observations within a
     macro-replication, so method comparisons are paired. A numerical
     failure (``RiskError`` or ``SingularDesignError``) aborts only its own
     cell; it is recorded in the record's diagnostics with ``mape`` left
-    empty. Any other exception propagates. Records come back sorted, so a
-    fixed seed yields identical output regardless of ``threads``. At most
-    one worker process per macro-replication is started.
+    empty. Any other exception propagates. The macro-replications run one
+    after another in this process, or as one task each on ``pool`` (see
+    :func:`process_pool`), which the caller opens, may share between
+    experiments, and closes. Records come back sorted, so a fixed seed
+    yields identical output with or without a pool of any size.
     """
-    if not (_is_int(threads) and threads >= 1):
-        raise ValueError(f"threads must be >= 1 (an integer), got {threads!r}")
     config.validate()
     probe = _design_points(config, 0)
     test_points = _test_set(config, probe)
     truths = {alpha: _truth(config, test_points, alpha) for alpha in config.alphas}
 
     reps = range(config.macro_replications)
-    workers = min(threads, config.macro_replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_macro_rep, [config] * len(reps), reps,
-                                   [test_points] * len(reps), [truths] * len(reps)))
-    else:
-        chunks = [_run_macro_rep(config, m, test_points, truths) for m in reps]
+    run = pool.map if pool is not None else map
+    chunks = run(_run_macro_rep, [config] * len(reps), reps,
+                 [test_points] * len(reps), [truths] * len(reps))
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=ResultRecord.sort_key)
     return records

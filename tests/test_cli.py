@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import gc
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +116,14 @@ class TestEstimate:
         assert run_cli("estimate", "--input", p, "--alpha", "0.5",
                        "--method", "empirical") == 0
         assert json.loads(capsys.readouterr().out)["n"] == 2
+
+    def test_header_after_blank_rows(self, tmp_path, capsys):
+        # The header is the first row that is not blank, wherever it sits.
+        p = tmp_path / "late-header.csv"
+        p.write_text("\nloss\n1\n2\n3\n")
+        assert run_cli("estimate", "--input", p, "--alpha", "0.5",
+                       "--method", "empirical") == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
 
 class TestDesign:
@@ -390,9 +402,58 @@ class TestRun:
     @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
     def test_threads_below_one_rejected(self, flag, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json")
-        assert run_cli("run", "--config", cfg, "--out-dir", tmp_path / "x",
-                       "--threads", flag) == 1
+        out = tmp_path / "x"
+        assert run_cli("run", "--config", cfg, "--out-dir", out, "--threads", flag) == 1
         assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_has_at_most_one_worker_per_macro_rep(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # Stands in for the process pool, so no worker process is started.
+        events = []
+
+        class RecordingPool:
+            def __init__(self, workers):
+                events.append(("open", workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                events.append(("close",))
+
+            def map(self, fn, *iterables):
+                events.append(("map",))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.harness, "process_pool", RecordingPool)
+        cfg = self.write_config(tmp_path / "cfg.json", san_budgets=[300, 1000],
+                                macro_replications=2, methods=["EMP-EMP"])
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", "--config", cfg, "--out-dir", a, "--threads", "64") == 0
+        # One pool for the whole run, sized by the cells' macro-replications,
+        # serves both cells in turn and is closed before run returns.
+        assert events == [("open", 2), ("map",), ("map",), ("close",)]
+        assert run_cli("run", "--config", cfg, "--out-dir", b) == 0
+        for name in ("results.csv", "summary.csv", "boxplot.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        events.clear()
+        one = self.write_config(tmp_path / "one.json")  # a single macro-replication
+        assert run_cli("run", "--config", one, "--out-dir", a, "--threads", "2") == 0
+        assert events == []
+
+    def test_in_process_run_leaves_the_collector_alone(self, tmp_path, capsys):
+        # Only the program entry freezes the heap; tests and tracers call main.
+        cfg = self.write_config(tmp_path / "cfg.json")
+        before = gc.get_freeze_count()
+        assert run_cli("run", "--config", cfg, "--out-dir", tmp_path / "x") == 0
+        assert gc.get_freeze_count() == before
+
+    def test_entry_freezes_the_imported_heap(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        assert cli.entry(["design", "--lower", "0", "--upper", "1", "--count", "3"]) == 0
+        assert calls == ["freeze"]
 
     def test_threads_give_identical_output(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path / "cfg.json", macro_replications=2)
@@ -416,6 +477,64 @@ class TestRun:
         assert {c.allocation_id for c in grid} == {1, 2, 3, 4, 5}
         assert len({c.scenario for c in grid}) == 3
         assert all(len(c.alphas) == 3 for c in grid)
+
+
+def _proc_stat(pid):
+    """(state, parent pid) of a process from /proc, or None once it is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"  # an unreaped zombie has exited
+
+
+def _live_children(pid) -> list[int]:
+    stats = {int(p.name): _proc_stat(p.name) for p in Path("/proc").iterdir()
+             if p.name.isdigit()}
+    return [c for c, stat in stats.items() if stat and stat[1] == pid and stat[0] != "Z"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists() or not hasattr(signal, "SIGKILL"),
+                    reason="needs /proc and POSIX signals")
+class TestWorkerLifetime:
+    # About 20 s of CPU time, so the run is still going when it is killed.
+    CONFIG = {"version": 1, "scenarios": ["normal"], "allocations": [5],
+              "alphas": [0.95, 0.99, 0.995], "macro_replications": 100, "seed": 5}
+
+    @pytest.mark.parametrize("sig", ["SIGKILL", "SIGTERM"])
+    def test_workers_exit_with_a_killed_run(self, sig, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        run = subprocess.Popen(
+            [sys.executable, "-m", "evtkrig.cli", "run", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out"), "--threads", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and run.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = _live_children(run.pid)
+            assert len(workers) == 2 and run.poll() is None
+            run.send_signal(getattr(signal, sig))
+            run.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            run.kill()
+            run.wait()
+            for pid in filter(_alive, workers):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestImportGraph:

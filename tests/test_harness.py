@@ -240,31 +240,20 @@ class TestRunExperiment:
         r2 = hn.run_experiment(hn.ExperimentConfig(seed=2, **base))
         assert r1[0].mape != r2[0].mape
 
-    def test_pool_has_at_most_one_worker_per_macro_rep(self, monkeypatch):
-        # Stands in for the process pool, so no worker process is started.
-        sizes = []
+    def test_pool_runs_one_task_per_macro_rep(self):
+        # Stands in for a process pool, so no worker process is started.
+        tasks = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                args = list(zip(*iterables))
+                tasks.extend(a[1] for a in args)
+                return [fn(*a) for a in reversed(args)]  # finish in any order
 
-        monkeypatch.setattr(hn, "ProcessPoolExecutor", RecordingPool)
         cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(0.95,),
                                   macro_replications=2, seed=9, methods=(hn.EMP_EMP,))
-        assert hn.run_experiment(cfg, threads=64) == hn.run_experiment(cfg)
-        assert sizes == [2]
-        for bad in (0, 2.5, True):
-            with pytest.raises(ValueError, match="threads"):
-                hn.run_experiment(cfg, threads=bad)
+        assert hn.run_experiment(cfg, RecordingPool()) == hn.run_experiment(cfg)
+        assert tasks == [0, 1]
 
     @pytest.mark.parametrize("method", [hn.EMP_EMP, hn.POT_EVT])
     def test_program_error_is_not_a_failed_cell(self, monkeypatch, method):
@@ -276,7 +265,7 @@ class TestRunExperiment:
         cfg = hn.ExperimentConfig(scenario="san", san_budget=1000, alphas=(0.95,),
                                   macro_replications=1, seed=9, methods=(method,))
         with pytest.raises(ValueError, match="bug in _site_estimates"):
-            hn.run_experiment(cfg, threads=1)
+            hn.run_experiment(cfg)
 
     def test_gpd_failure_fails_only_the_pot_cells_of_its_macro_rep(self, monkeypatch):
         # Allocation 2 has 50 sites x 5 replications: the tail fits of macro-rep 0
@@ -292,7 +281,7 @@ class TestRunExperiment:
         monkeypatch.setattr(hn.evt_risk, "fit_gpd", failing)
         cfg = hn.ExperimentConfig(scenario="triangular", allocation=2, alphas=(0.95,),
                                   macro_replications=2, seed=3, n_test=20)
-        recs = hn.run_experiment(cfg, threads=1)
+        recs = hn.run_experiment(cfg)
         assert len(calls) == 261  # macro-rep 1 stops fitting at the failure
         assert len(recs) == 8  # 4 methods x 1 alpha x 2 macro-reps
         failed = [r for r in recs if r.mape is None]
@@ -323,7 +312,7 @@ class TestRunExperiment:
         monkeypatch.setattr(hn, "_simulate_site", tied)
         cfg = hn.ExperimentConfig(scenario="san", san_budget=2000, alphas=(0.9, 0.95),
                                   macro_replications=1, seed=9)
-        recs = hn.run_experiment(cfg, threads=1)
+        recs = hn.run_experiment(cfg)
         assert len(recs) == 6  # 3 methods x 2 alphas
         failed = [r for r in recs if r.mape is None]
         assert [(r.method, r.alpha) for r in failed] == [(hn.POT_EVT, 0.9)]
@@ -334,7 +323,7 @@ class TestRunExperiment:
     def test_singular_design_fails_only_its_own_cell(self, monkeypatch):
         base = dict(scenario="san", san_budget=1000, alphas=(0.95, 0.99),
                     macro_replications=1, seed=9)
-        clean = hn.run_experiment(hn.ExperimentConfig(**base), threads=1)
+        clean = hn.run_experiment(hn.ExperimentConfig(**base))
         real, calls = hn.kriging.fit, []
 
         def failing(sites):
@@ -344,7 +333,7 @@ class TestRunExperiment:
             return real(sites)
 
         monkeypatch.setattr(hn.kriging, "fit", failing)
-        recs = hn.run_experiment(hn.ExperimentConfig(**base), threads=1)
+        recs = hn.run_experiment(hn.ExperimentConfig(**base))
         assert len(calls) == 6
         (bad,) = [r for r in recs if r.mape is None]
         assert (bad.method, bad.alpha) == (hn.ORD_KRG, 0.99)
@@ -362,14 +351,14 @@ class TestRunExperiment:
         cfg = hn.ExperimentConfig(scenario=scenario, allocation=1, san_budget=1000,
                                   alphas=(0.95, 0.99), macro_replications=1, seed=11,
                                   n_test=20, methods=(hn.POT_EVT,))
-        clean = hn.run_experiment(cfg, threads=1)
+        clean = hn.run_experiment(cfg)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("numpy.linalg called")
 
         for name in ("cond", "svd", "cholesky", "solve", "inv"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        recs = hn.run_experiment(cfg, threads=1)
+        recs = hn.run_experiment(cfg)
         assert recs == clean
         assert all(r.mape is not None for r in recs)
 

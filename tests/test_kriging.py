@@ -53,6 +53,10 @@ class TestKernel:
             kg.kernel((0.0,), (1.0, 2.0), (1.0, 1.0))
 
 
+def _no_factor(*args, **kwargs):
+    raise kg.SingularDesignError("covariance matrix is not positive definite")
+
+
 class TestFit:
     def test_noiseless_interpolation(self):
         sites, x = sine_sites(20)
@@ -138,14 +142,21 @@ class TestFit:
         with pytest.raises(ValueError):
             kg.fit([kg.DesignSite((0.0,), 1.0)])
 
-    def test_failed_solve_check_is_named(self, monkeypatch):
-        # Every search succeeds and every covariance factors; only the solve
-        # check, made impossible here, rejects each nugget.
-        monkeypatch.setattr(kg, "SOLVE_RTOL", 0.0)
+    @pytest.mark.parametrize("attr, stand_in, cause", [
+        ("SOLVE_RTOL", 0.0, "solve check failed (SOLVE_RTOL 0)"),
+        ("_neg_profile_loglik", lambda *args: (1e300, 0),
+         "likelihood search failed at every start"),
+        ("assemble", _no_factor, "best covariance did not factor"),
+    ], ids=["solve-check", "search", "factor"])
+    def test_failed_ladder_names_its_cause(self, monkeypatch, attr, stand_in, cause):
+        # The stand-in makes one of fit's three checks reject every nugget; the
+        # error names that check at the top of the ladder.
+        monkeypatch.setattr(kg, attr, stand_in)
         sites, _ = sine_sites(8)
-        with pytest.raises(kg.SingularDesignError, match="solve check failed") as err:
+        with pytest.raises(kg.SingularDesignError) as err:
             kg.fit(sites)
-        assert "likelihood search failed" not in str(err.value)
+        assert str(err.value) == ("no usable covariance after nugget escalation: "
+                                  f"{cause} at nugget 1e-06")
 
 
 class TestStartRetirement:

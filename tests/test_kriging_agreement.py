@@ -69,7 +69,7 @@ def workload_site_sets():
             config = harness.ExperimentConfig(alphas=ALPHAS, seed=SEED, **cell)
             kg.fit = recording_fit
             try:
-                harness.run_experiment(config, threads=1)
+                harness.run_experiment(config)
             finally:
                 kg.fit = original
             label = cell.get("allocation") or cell.get("san_budget")
