@@ -16,9 +16,14 @@ alpha = Sigma^-1 (Y - beta0) (Rasmussen & Williams 2006, sec. 5.4.1); as
 beta0 is profiled out, the gradient at fixed beta0 is exact. An evaluation
 fills Sigma's lower triangle from correlations on the k(k-1)/2 site pairs,
 factors it once, then solves and inverts with LAPACK ``dpotrs``/``dpotri``.
-The searches from ``N_STARTS`` start points run one after another, and a
-start stops once it reaches an earlier start's path (multi-level single
-linkage, Rinnooy Kan & Timmer 1987).
+That one evaluation gives the search both its value and its gradient: they
+reach L-BFGS-B as two callables, and the gradient callable returns what the
+value call at the same psi computed. A fit keeps its evaluations at each
+nugget, keyed by psi, so a psi that a search reaches again (most often the
+box corner that many starts share) is not evaluated again. The searches
+from ``N_STARTS`` start points run one after another, and a start stops
+once it reaches an earlier start's path (multi-level single linkage,
+Rinnooy Kan & Timmer 1987).
 
 With all intrinsic variances and nugget zero this reduces to an ordinary
 interpolating kriging model.
@@ -38,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, optimize
 from scipy.linalg import blas, lapack
+from scipy.optimize import Bounds
 
 from .design import Domain, lhs
 from .rng import RngStream
@@ -84,7 +90,19 @@ class DesignSite:
     intrinsic_variance: float = 0.0
 
     def __post_init__(self):
-        _site_arrays([self])
+        # Floats are checked directly, without building arrays; anything else
+        # (ints, arrays, nested tuples) meets numpy's conversion in _site_arrays.
+        loc, resp, var = self.location, self.response, self.intrinsic_variance
+        coords = loc if type(loc) is tuple else (loc,)
+        if not all(isinstance(v, float) for v in (*coords, resp, var)):
+            _site_arrays([self])
+            return
+        for name, values in (("location", coords), ("response", (resp,)),
+                             ("intrinsic_variance", (var,))):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"site {name} must be finite")
+        if var < 0.0:
+            raise ValueError("intrinsic variances must be nonnegative")
 
 
 def kernel(a, b, theta) -> float:
@@ -228,10 +246,17 @@ def _covariance(pairs, dpairs, intr, tau2, theta, nugget):
     return entries.reshape((k, k), order="F"), lower
 
 
-def _profile_pieces(chol, resp, beta0=None):
-    """beta0 (profiled when None), Sigma^-1 (Y - beta0) and the loglik from chol."""
+def _trend_columns(resp: np.ndarray) -> np.ndarray:
+    """The right-hand side [1, Y] of the profiled trend's solve, shape (k, 2)."""
+    return np.array([np.ones_like(resp), resp]).T
+
+
+def _profile_pieces(chol, columns, beta0=None):
+    """beta0 (profiled when None), Sigma^-1 (Y - beta0) and the loglik from chol;
+    ``columns`` is ``_trend_columns(Y)``."""
+    resp = columns[:, 1]
     if beta0 is None:
-        solved, _ = lapack.dpotrs(chol, np.array([np.ones_like(resp), resp]).T, lower=1)
+        solved, _ = lapack.dpotrs(chol, columns, lower=1)
         beta0 = float(solved[:, 1].sum() / solved[:, 0].sum())
     resid = resp - beta0
     weights, _ = lapack.dpotrs(chol, resid, lower=1)
@@ -266,16 +291,20 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
         chol, _ = linalg.cho_factor(sigma, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularDesignError(f"covariance not positive definite: {exc}")
-    beta0, weights, ll = _profile_pieces(chol, resp, beta0)
+    beta0, weights, ll = _profile_pieces(chol, _trend_columns(resp), beta0)
     return KrigingModel(beta0=beta0, tau2=float(tau2), theta=theta,
                         locations=locs, responses=resp, intrinsic=intr,
                         nugget=float(nugget), loglik=ll, _chol=chol, _weights=weights)
 
 
-def _neg_profile_loglik(params, pairs, dpairs, resp, intr, nugget) -> tuple[float, np.ndarray]:
+def _neg_profile_loglik(params, pairs, dpairs, resp, intr, nugget,
+                        columns=None) -> tuple[float, np.ndarray]:
     """Negative profile log-likelihood at params = (log tau^2, log theta) and its
     gradient; (1e300, 0) when the covariance does not factor. Sigma is built on the
     ``_site_pairs`` and factored once; ``dpotrs`` solves and ``dpotri`` inverts it.
+    ``columns`` is ``_trend_columns(resp)``, which ``fit`` builds once per site set;
+    ``fit`` hands the value and the gradient of one call to L-BFGS-B as two
+    callables, and calls this at most once per psi and nugget.
 
     With W = alpha alpha' - Sigma^-1, the log-likelihood gradient is
     1/2 tr(W dSigma/dpsi), where dSigma/dlog tau^2 = tau^2 (R + nugget I) and
@@ -289,7 +318,7 @@ def _neg_profile_loglik(params, pairs, dpairs, resp, intr, nugget) -> tuple[floa
         chol, _ = linalg.cho_factor(sigma, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError:
         return 1e300, np.zeros_like(params)
-    _, alpha, ll = _profile_pieces(chol, resp)
+    _, alpha, ll = _profile_pieces(chol, _trend_columns(resp) if columns is None else columns)
     # -W = Sigma^-1 - alpha alpha', lower triangle: dpotri, then a rank-one update.
     neg_w, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
     neg_w = blas.dsyr(-1.0, alpha, lower=1, a=neg_w, overwrite_a=1)
@@ -316,9 +345,13 @@ def fit(sites) -> KrigingModel:
 
     The search runs L-BFGS-B over (log tau^2, log theta) from ``N_STARTS``
     Latin-hypercube start points in the bound box, with the analytic
-    gradient of the profile log-likelihood (``_neg_profile_loglik``). A
-    start stops at its first iterate that lies within ``RETIRE_ATOL``, in
-    every coordinate, of an iterate that an earlier start reached at the same
+    gradient of the profile log-likelihood (``_neg_profile_loglik``). One
+    evaluation serves both the value and the gradient that L-BFGS-B asks
+    for at a point, and each psi is evaluated at most once per nugget: a
+    point that a search reaches again is answered from the fit's own
+    evaluations, which are dropped when the fit returns. A start stops at
+    its first iterate that lies within ``RETIRE_ATOL``, in every
+    coordinate, of an iterate that an earlier start reached at the same
     nugget with an objective no higher: from there it would retrace that
     start's path. The best start is the one with the lowest objective. One
     nugget rule holds for noisy and zero-noise designs alike: search at
@@ -346,9 +379,27 @@ def fit(sites) -> KrigingModel:
 
     lo, hi = _search_box(locs, resp)
     starts = lhs(Domain(lo, hi), N_STARTS, RngStream(START_SEED))
+    bounds = Bounds(lo, hi)
 
     pairs, dpairs = _site_pairs(locs)
+    columns = _trend_columns(resp)
     for nugget in (0.0, *NUGGET_LADDER):
+        evaluated = {}  # psi.tobytes() -> (objective, gradient) at this nugget
+
+        def evaluate(psi):
+            key = psi.tobytes()
+            hit = evaluated.get(key)
+            if hit is None:
+                hit = evaluated[key] = _neg_profile_loglik(psi, pairs, dpairs, resp, intr,
+                                                           nugget, columns)
+            return hit
+
+        def value(psi):
+            return evaluate(psi)[0]
+
+        def gradient(psi):
+            return np.copy(evaluate(psi)[1])  # the search may keep what it is given
+
         best_x, best_f = None, math.inf
         # psi and objective of every iterate of the earlier starts at this nugget.
         seen_x, seen_f = np.empty((0, lo.size)), np.empty(0)
@@ -363,10 +414,8 @@ def fit(sites) -> KrigingModel:
                 if ((np.abs(seen_x - x) <= RETIRE_ATOL).all(axis=1) & (seen_f <= f)).any():
                     raise StopIteration
 
-            res = optimize.minimize(_neg_profile_loglik, x0, jac=True, method="L-BFGS-B",
-                                    args=(pairs, dpairs, resp, intr, nugget),
-                                    bounds=list(zip(lo, hi)), options={"maxiter": MAX_ITER},
-                                    callback=retire)
+            res = optimize.minimize(value, x0, jac=gradient, method="L-BFGS-B", bounds=bounds,
+                                    options={"maxiter": MAX_ITER}, callback=retire)
             if res.fun < best_f:
                 best_x, best_f = res.x, float(res.fun)
             seen_x, seen_f = np.vstack([seen_x, *path_x]), np.append(seen_f, path_f)

@@ -158,6 +158,31 @@ class TestFit:
         assert str(err.value) == ("no usable covariance after nugget escalation: "
                                   f"{cause} at nugget 1e-06")
 
+    @pytest.mark.parametrize("case", ["surface-fit-normal-5-1", "san-grid-san-1000-0"])
+    def test_one_objective_evaluation_per_distinct_point(self, monkeypatch, case):
+        # L-BFGS-B asks for a value and then a gradient at each point; one
+        # evaluation answers both, and a point reached again is not evaluated again.
+        rows = json.loads(AGREEMENT_FIXTURE.read_text())[case]["sites"]
+        sites = [kg.DesignSite(tuple(row[:-2]), row[-2], row[-1]) for row in rows]
+        points, requests = [], []
+        objective, real_minimize = kg._neg_profile_loglik, kg.optimize.minimize
+
+        def recorded(params, pairs, dpairs, resp, intr, nugget, *rest):
+            points.append((params.tobytes(), nugget))
+            return objective(params, pairs, dpairs, resp, intr, nugget, *rest)
+
+        def counted(*args, **kwargs):
+            result = real_minimize(*args, **kwargs)
+            requests.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(kg, "_neg_profile_loglik", recorded)
+        monkeypatch.setattr(kg, "optimize", SimpleNamespace(minimize=counted))
+        kg.fit(sites)
+        repeats = len(points) - len(set(points))
+        assert repeats == 0
+        assert len(points) < sum(requests)
+
 
 class TestStartRetirement:
     """A start stops once it reaches an earlier start's path at no lower objective."""
@@ -173,14 +198,9 @@ class TestStartRetirement:
         monkeypatch.setattr(kg, "lhs", lambda *args: np.repeat(lhs(*args)[:1], 2, axis=0))
         results = []
 
-        def minimize(fun, x0, args, **kwargs):
+        def minimize(fun, x0, **kwargs):
             shift = 0.0 if results else first_shift
-
-            def shifted(params):
-                value, grad = fun(params, *args)
-                return value + shift, grad
-
-            results.append(real_minimize(shifted, x0, **kwargs))
+            results.append(real_minimize(lambda params: fun(params) + shift, x0, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(kg, "optimize", SimpleNamespace(minimize=minimize))
@@ -404,6 +424,32 @@ class TestAssembleProperties:
         (mean, sd), (s_mean, s_sd) = model.predict_many(query), shifted.predict_many(query)
         np.testing.assert_allclose(s_mean, mean + c, rtol=1e-9, atol=atol)
         np.testing.assert_allclose(s_sd, sd, rtol=1e-9, atol=1e-12)
+
+
+# Site fields as callers pass them: floats (nan and +-inf included), numpy
+# floats and ints; locations as scalars, tuples of 1-3 coordinates and nested tuples.
+SITE_VALUES = st.floats() | st.floats().map(np.float64) | st.integers(-3, 3)
+SITE_LOCATIONS = (SITE_VALUES | st.lists(SITE_VALUES, min_size=1, max_size=3).map(tuple)
+                  | st.lists(st.lists(SITE_VALUES, max_size=2).map(tuple),
+                             min_size=1, max_size=2).map(tuple))
+
+
+class TestSiteChecks:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(location=SITE_LOCATIONS, response=SITE_VALUES, variance=SITE_VALUES)
+    def test_site_rejects_what_fit_rejects(self, location, response, variance):
+        # DesignSite checks its own fields; fit checks site-like objects with
+        # _site_arrays. Both must accept the same sites and name the same fault.
+        def outcome(check):
+            try:
+                check()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        fields = dict(location=location, response=response, intrinsic_variance=variance)
+        expected = outcome(lambda: kg._site_arrays([SimpleNamespace(**fields)]))
+        assert outcome(lambda: kg.DesignSite(**fields)) == expected
 
 
 class TestLikelihoodGradient:
