@@ -7,7 +7,6 @@ from .design import BudgetAllocation, Domain, budget_catalog, equally_spaced, lh
 from .evt_risk import (
     GpdFit,
     RiskEstimate,
-    SpectralMeasure,
     delta_variance,
     empirical_cvar,
     empirical_var,
@@ -17,7 +16,6 @@ from .evt_risk import (
     gpd_logpdf,
     pot_cvar,
     pot_var,
-    spectral_pot,
 )
 from .harness import (
     EMP_EMP,
@@ -47,9 +45,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetAllocation", "Domain", "budget_catalog", "equally_spaced", "lhs",
-    "GpdFit", "RiskEstimate", "SpectralMeasure", "delta_variance",
+    "GpdFit", "RiskEstimate", "delta_variance",
     "empirical_cvar", "empirical_var", "fit_gpd", "fit_gpd_exceedances",
-    "gpd_cdf", "gpd_logpdf", "pot_cvar", "pot_var", "spectral_pot",
+    "gpd_cdf", "gpd_logpdf", "pot_cvar", "pot_var",
     "EMP_EMP", "METHODS", "ORD_KRG", "POT_EMP", "POT_EVT",
     "ExperimentConfig", "ResultRecord", "estimate_site", "run_experiment",
     "wilcoxon_signed_rank",

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 fit-gpd    fit a GPD tail to a CSV column of losses, emit a JSON report
-estimate   one CVaR estimate (empirical / pot / spectral) from a CSV column
+estimate   one CVaR estimate (empirical / pot) from a CSV column
 run        run the experiment grid a JSON config defines in full; emit result CSVs
 predict    evaluate a serialized kriging model at points from a CSV
 design     emit a Latin-hypercube or equally spaced design as CSV
@@ -139,10 +139,7 @@ def cmd_estimate(args) -> int:
     else:
         fit = evt_risk.fit_gpd(losses, args.threshold_quantile)
         payload["gpd"] = _fit_report(fit)
-        if args.method == "pot":
-            est = evt_risk.pot_cvar(fit, args.alpha)
-        else:  # spectral route through the CVaR spectrum
-            est = evt_risk.spectral_pot(fit, evt_risk.SpectralMeasure.cvar(args.alpha))
+        est = evt_risk.pot_cvar(fit, args.alpha)
     payload["value"] = est.value
     payload["variance"] = est.variance
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
@@ -280,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate CVaR from a CSV column of losses")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=("empirical", "pot", "spectral"),
-                   default="empirical")
+    p.add_argument("--method", choices=("empirical", "pot"), default="empirical")
     p.add_argument("--threshold-quantile", type=float, default=0.9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)

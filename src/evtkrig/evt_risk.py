@@ -11,11 +11,6 @@ reals). Two routes are provided for CVaR at level ``alpha``:
   quantile and tail mean are extrapolated from the fitted tail, and the
   estimator variance follows from the delta method through the empirical
   Fisher information of the GPD log-likelihood.
-
-A generic spectral estimator integrates the POT quantile curve in closed
-form against an admissible piecewise-linear risk spectrum, covering the
-coherent, law-invariant, comonotone-additive risk measures; CVaR is the
-constant-spectrum special case.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -31,7 +26,6 @@ from scipy import optimize
 __all__ = [
     "RiskEstimate",
     "GpdFit",
-    "SpectralMeasure",
     "RiskError",
     "InsufficientDataError",
     "InsufficientTailError",
@@ -55,7 +49,6 @@ __all__ = [
     "pot_cvar_many",
     "cvar_sensitivity",
     "delta_variance",
-    "spectral_pot",
 ]
 
 # Shape values this close to zero take the exponential (xi = 0) branch.
@@ -115,7 +108,7 @@ class RiskEstimate:
     value: float
     variance: float
     alpha: float
-    method: str  # "empirical" | "pot" | "spectral"
+    method: str  # "empirical" | "pot"
 
 
 @dataclass(frozen=True)
@@ -526,38 +519,37 @@ def pot_var(fit: GpdFit, alpha: float) -> float:
     return fit.u + fit.beta * math.expm1(fit.xi * big_l) / fit.xi
 
 
-def _excess_factor(xi, big_l, m: int = 1) -> np.ndarray:
-    """The scaled tail moment E_m(xi, L) = (e^(xi L) / (m - xi) - 1/m) / xi.
+def _excess_factor(xi, big_l) -> np.ndarray:
+    """B(xi, L) = (e^(xi L) / (1 - xi) - 1) / xi, so that CVaR = u + beta B
+    at L = log(zeta / (1 - alpha)).
 
-    With s = 1 - alpha and L = log(zeta / s), the POT quantile curve gives
-    int_0^s t^(m-1) VaR_(1-t) dt = s^m (u/m + beta E_m), so E_1 is
-    (CVaR - u) / beta. Evaluated as expm1(xi L) / (xi (m - xi)) + 1 / (m (m - xi)),
-    which stays stable near xi = 0; the limit there is L/m + 1/m^2. Takes
-    arrays, with every xi < 1.
+    Evaluated as expm1(xi L) / (xi (1 - xi)) + 1 / (1 - xi), which stays
+    stable near xi = 0; the limit there is L + 1. Takes arrays, with every
+    xi < 1.
     """
     near = np.abs(xi) < XI_ZERO_EPS
     x = np.where(near, 0.5, xi)
-    return np.where(near, big_l / m + 1.0 / m**2,
-                    np.expm1(x * big_l) / (x * (m - x)) + 1.0 / (m * (m - x)))
+    return np.where(near, big_l + 1.0,
+                    np.expm1(x * big_l) / (x * (1.0 - x)) + 1.0 / (1.0 - x))
 
 
-def _excess_factor_dxi(xi, big_l, m: int = 1) -> np.ndarray:
+def _excess_factor_dxi(xi, big_l) -> np.ndarray:
     """d/dxi of :func:`_excess_factor`; series below |xi| = 1e-4.
 
-    The series is E_m = sum_n d_n xi^n with d_0 = (L + 1/m) / m and
-    d_n = (d_(n-1) + L^(n+1) / (n+1)!) / m, cut after the xi^3 term of the
+    The series is B = sum_n d_n xi^n with d_0 = L + 1 and
+    d_n = d_(n-1) + L^(n+1) / (n+1)!, cut after the xi^3 term of the
     derivative.
     """
-    d = [(big_l + 1.0 / m) / m]
+    d = [big_l + 1.0]
     for n in range(1, 5):
-        d.append((d[-1] + big_l ** (n + 1) / math.factorial(n + 1)) / m)
+        d.append(d[-1] + big_l ** (n + 1) / math.factorial(n + 1))
     near = np.abs(xi) < 1e-4
     x = np.where(near, 0.5, xi)
-    one = m - x
+    one = 1.0 - x
     return np.where(near, d[1] + 2.0 * xi * d[2] + 3.0 * xi**2 * d[3] + 4.0 * xi**3 * d[4],
                     big_l * np.exp(x * big_l) / (x * one)
-                    - np.expm1(x * big_l) * (m - 2.0 * x) / (x * one) ** 2
-                    + 1.0 / (m * one**2))
+                    - np.expm1(x * big_l) * (1.0 - 2.0 * x) / (x * one) ** 2
+                    + 1.0 / one**2)
 
 
 def _fit_columns(fits, *names: str) -> list[np.ndarray]:
@@ -620,15 +612,6 @@ def pot_cvar_many(fits, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return u + beta * g_beta, variance, singular
 
 
-def _one_variance(variance: np.ndarray, singular: np.ndarray) -> float:
-    """The variance of a batch of one; SingularInformationError if it is flagged."""
-    if singular[0]:
-        raise SingularInformationError(
-            "information matrix is not a finite, symmetric, positive-definite 2x2 "
-            f"matrix with condition number <= {INFO_MAX_CONDITION:.0e}")
-    return float(variance[0])
-
-
 def pot_cvar_value(fit: GpdFit, alpha: float) -> float:
     """POT CVaR point estimate: the extrapolated quantile plus the GPD mean
     excess above it, q + (beta + xi (q - u)) / (1 - xi). Requires xi < 1
@@ -639,7 +622,11 @@ def pot_cvar_value(fit: GpdFit, alpha: float) -> float:
 def pot_cvar(fit: GpdFit, alpha: float) -> RiskEstimate:
     """POT CVaR with its delta-method variance (see :func:`delta_variance`)."""
     value, variance, singular = pot_cvar_many([fit], alpha)
-    return RiskEstimate(value=float(value[0]), variance=_one_variance(variance, singular),
+    if singular[0]:
+        raise SingularInformationError(
+            "information matrix is not a finite, symmetric, positive-definite 2x2 "
+            f"matrix with condition number <= {INFO_MAX_CONDITION:.0e}")
+    return RiskEstimate(value=float(value[0]), variance=float(variance[0]),
                         alpha=float(alpha), method="pot")
 
 
@@ -668,103 +655,3 @@ def delta_variance(fit: GpdFit, alpha: float) -> float:
     asymptotic normality of the MLE becomes unreliable.
     """
     return pot_cvar(fit, alpha).variance
-
-
-# ---------------------------------------------------------------------------
-# Spectral (coherent) risk measures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """An admissible risk spectrum phi on (0, 1): nonnegative, nondecreasing,
-    integrating to one. The risk value is int VaR_lambda phi(lambda) dlambda.
-
-    phi interpolates ``values`` linearly on ``grid`` and is zero off it.
-    """
-
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    label: str
-
-    @classmethod
-    def cvar(cls, alpha: float) -> "SpectralMeasure":
-        """The CVaR spectrum: constant 1/(1-alpha) on [alpha, 1)."""
-        alpha = _check_alpha(alpha)
-        h = 1.0 / (1.0 - alpha)
-        return cls(grid=np.array([alpha, 1.0]), values=np.array([h, h]),
-                   label=f"cvar({alpha})")
-
-    @classmethod
-    def from_table(cls, grid, values) -> "SpectralMeasure":
-        """Admissible piecewise-linear spectrum tabulated on a grid in (0, 1] ending at 1."""
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise ValueError("grid and values must be equal-length 1-D arrays (>= 2 points)")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] <= 0.0 or grid[-1] != 1.0:
-            raise ValueError("grid must lie in (0, 1] and end at 1")
-        if np.any(values < 0.0):
-            raise ValueError("spectrum weights must be nonnegative")
-        if np.any(np.diff(values) < -1e-12):
-            raise ValueError("admissible spectra are nondecreasing")
-        total = float(np.trapezoid(values, grid))
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"spectrum must integrate to 1, got {total:.10g}")
-        return cls(grid=grid, values=values, label="tabulated")
-
-    @property
-    def support_lower(self) -> float:
-        return float(self.grid[0])
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        out = np.interp(lam, self.grid, self.values, left=0.0, right=0.0)
-        return float(out) if lam.ndim == 0 else out
-
-
-def _tail_moments(fit: GpdFit, lam: float) -> np.ndarray:
-    """int_0^s t^(m-1) VaR_(1-t) dt for m = 1, 2 at s = 1 - lam, with partials.
-
-    Row m - 1 holds the integral s^m (u/m + beta E_m(xi, L)), L = log(zeta / s)
-    (see :func:`_excess_factor`), then its d/dxi and d/dbeta. At s = 0 every
-    entry is 0, since xi < 1.
-    """
-    s = 1.0 - lam
-    if s == 0.0:
-        return np.zeros((2, 3))
-    big_l, m = float(_log_ratio(fit.zeta, lam)), np.array([1.0, 2.0])
-    e, e_dxi = _excess_factor(fit.xi, big_l, m), _excess_factor_dxi(fit.xi, big_l, m)
-    return np.column_stack([s**m * (fit.u / m + fit.beta * e), s**m * fit.beta * e_dxi,
-                            s**m * e])
-
-
-def _spectral_integral(fit: GpdFit, phi: SpectralMeasure) -> np.ndarray:
-    """int VaR_lambda phi(lambda) dlambda for the fitted tail, then its d/dxi, d/dbeta.
-
-    In s = 1 - lambda each grid segment of the spectrum is phi = c0 + c1 s,
-    so its share of the integral is c0 and c1 times the differences of the
-    first and second tail moments (:func:`_tail_moments`) between the
-    segment ends.
-    """
-    if fit.xi >= 1.0:
-        raise HeavyTailError(f"xi={fit.xi} >= 1: the spectral integral diverges")
-    moments = np.array([_tail_moments(fit, lam) for lam in phi.grid])
-    c1 = -np.diff(phi.values) / np.diff(phi.grid)
-    c0 = phi.values[:-1] - c1 * (1.0 - phi.grid[:-1])
-    seg = moments[:-1] - moments[1:]
-    return c0 @ seg[:, 0] + c1 @ seg[:, 1]
-
-
-def spectral_pot(fit: GpdFit, phi: SpectralMeasure) -> RiskEstimate:
-    """POT estimate of a spectral risk measure with its delta-method variance.
-
-    The value and its exact (xi, beta) gradient are closed form
-    (:func:`_spectral_integral`); the variance is grad' I^-1 grad / n_exceed.
-    For the CVaR spectrum both match :func:`pot_cvar` to round-off.
-    """
-    value, g_xi, g_beta = _spectral_integral(fit, phi)
-    variance = _one_variance(*_quad_form([fit], g_xi, g_beta))
-    return RiskEstimate(value=float(value), variance=variance, alpha=phi.support_lower,
-                        method="spectral")

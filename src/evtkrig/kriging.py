@@ -133,9 +133,11 @@ def _correlation(sqdiff: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def _site_arrays(sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    locs = np.array([np.atleast_1d(np.asarray(s.location, dtype=float)) for s in sites])
-    if locs.ndim != 2:
+    locs = [np.atleast_1d(np.asarray(s.location, dtype=float)) for s in sites]
+    # Checked before stacking: numpy rejects ragged locations with its own error.
+    if not locs or any(v.ndim != 1 or v.shape != locs[0].shape for v in locs):
         raise ValueError("sites must share a common location dimension")
+    locs = np.array(locs)
     resp = np.array([float(s.response) for s in sites])
     intr = np.array([float(s.intrinsic_variance) for s in sites])
     for name, values in (("location", locs), ("response", resp), ("intrinsic_variance", intr)):

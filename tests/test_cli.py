@@ -81,16 +81,12 @@ class TestEstimate:
         assert payload["variance"] > 0
         assert "gpd" in payload
 
-    def test_spectral_matches_pot(self, exp_losses_csv, capsys):
-        rc = run_cli("estimate", "--input", exp_losses_csv, "--alpha", "0.95",
-                     "--method", "spectral")
-        assert rc == 0
-        spectral = json.loads(capsys.readouterr().out)
-        rc = run_cli("estimate", "--input", exp_losses_csv, "--alpha", "0.95",
-                     "--method", "pot")
-        pot = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert spectral["value"] == pytest.approx(pot["value"], rel=1e-6)
+    def test_spectral_method_rejected(self, exp_losses_csv, capsys):
+        assert run_cli("estimate", "--input", exp_losses_csv, "--alpha", "0.95",
+                       "--method", "spectral") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --method: invalid choice: 'spectral'" in err
 
     def test_alpha_out_of_range(self, exp_losses_csv, capsys):
         assert run_cli("estimate", "--input", exp_losses_csv, "--alpha", "1.5") == 1

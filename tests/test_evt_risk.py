@@ -680,6 +680,29 @@ class TestPotCvar:
         with pytest.raises(er.HeavyTailError):
             er.pot_cvar(fit, 0.95)
 
+    def test_heavy_shape_variance_warns(self):
+        fit = er.GpdFit(u=0.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.6,
+                        beta=1.0, info=np.eye(2), loglik=0.0)
+        with pytest.warns(er.HeavyTailWarning, match="xi=0.600 >= 0.5"):
+            est = er.pot_cvar(fit, 0.99)
+        assert est.variance == pytest.approx(32.25, rel=1e-3)
+
+    def test_negative_shape_below_the_endpoint(self):
+        # xi < 0 bounds the tail at u + beta / |xi| = 1 + 5 / 3.
+        fit = er.GpdFit(u=1.0, n_total=2000, n_exceed=400, zeta=0.2, xi=-0.3,
+                        beta=0.5, info=np.eye(2), loglik=0.0)
+        q = er.pot_var(fit, 0.95)
+        est = er.pot_cvar(fit, 0.95)
+        assert est.value == pytest.approx(q + (fit.beta + fit.xi * (q - fit.u)) / (1 - fit.xi),
+                                          rel=1e-12)
+        assert q < est.value < fit.u + fit.beta / 0.3
+
+    def test_level_below_threshold_rejected(self):
+        fit = er.GpdFit(u=2.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.1,
+                        beta=1.0, info=np.eye(2), loglik=0.0)
+        with pytest.raises(er.TailOrderError, match="below the threshold level 0.9"):
+            er.pot_cvar(fit, 0.5)
+
     def test_cvar_dominates_var(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -857,8 +880,7 @@ class TestPotCvarMany:
                         beta=1.0, info=np.eye(2), loglik=0.0)
         for estimate in (lambda: er.delta_variance(fit, 0.99),
                          lambda: er.pot_cvar(fit, 0.99),
-                         lambda: er.pot_cvar_many([fit], 0.99),
-                         lambda: er.spectral_pot(fit, er.SpectralMeasure.cvar(0.99))):
+                         lambda: er.pot_cvar_many([fit], 0.99)):
             with pytest.warns(er.HeavyTailWarning, match="xi=0.600"):
                 estimate()
 
@@ -892,118 +914,18 @@ class TestConditionNumber:
             m = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
             assert er._condition(m) == pytest.approx(np.linalg.cond(m / scale), rel=1e-14)
 
-class TestSpectral:
-    @PROPERTY_SETTINGS
-    @given(z=gpd_or_bounded_exceedances(), extra=st.integers(0, 5000),
-           level=st.floats(1e-3, 0.999), u=st.floats(-5.0, 5.0))
-    def test_cvar_spectrum_is_pot_cvar_on_interior_fits(self, z, extra, level, u):
-        # alpha runs over the tail the fit covers, (1 - zeta, 1).
-        fit = er.fit_gpd_exceedances(z, n_total=z.size + extra, u=u)
-        if fit.boundary:
-            return
-        alpha = 1.0 - fit.zeta * (1.0 - level)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", er.HeavyTailWarning)
-            pot = er.pot_cvar(fit, alpha)
-            spectral = er.spectral_pot(fit, er.SpectralMeasure.cvar(alpha))
-        assert spectral.value == pytest.approx(pot.value, rel=1e-12)
-        assert spectral.variance == pytest.approx(pot.variance, rel=1e-10)
 
-    def test_cvar_spectrum_reduces_to_pot_cvar(self):
-        fit = exact_exponential_fit()
-        est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.95))
-        assert est.value == pytest.approx(math.log(20) + 1, rel=1e-12)
-        assert est.method == "spectral"
-
-    def test_heavy_shape_value_and_variance_match_cvar_route(self):
-        fit = er.GpdFit(u=0.0, n_total=1000, n_exceed=1000, zeta=1.0, xi=0.5,
-                        beta=1.0, info=np.array([[2.0, 0.5], [0.5, 1.0]]), loglik=0.0)
-        phi = er.SpectralMeasure.cvar(0.95)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", er.HeavyTailWarning)
-            est = er.spectral_pot(fit, phi)
-            dv = er.delta_variance(fit, 0.95)
-        assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-12)
-        assert est.variance == pytest.approx(dv, rel=1e-10)
-
-    def test_heavy_shape_variance_warns(self):
-        # The delta-method variance warns at xi >= 1/2 on the spectral route too.
-        fit = er.GpdFit(u=0.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.6,
-                        beta=1.0, info=np.eye(2), loglik=0.0)
-        with pytest.warns(er.HeavyTailWarning, match="xi=0.600 >= 0.5"):
-            est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.99))
-        assert est.variance == pytest.approx(32.25, rel=1e-3)
-
-    def test_negative_shape_route(self):
-        fit = er.GpdFit(u=1.0, n_total=2000, n_exceed=400, zeta=0.2, xi=-0.3,
-                        beta=1.0, info=np.eye(2), loglik=0.0)
-        est = er.spectral_pot(fit, er.SpectralMeasure.cvar(0.95))
-        assert est.value == pytest.approx(er.pot_cvar_value(fit, 0.95), rel=1e-12)
-
-    def test_point_mass_approximation_tends_to_quantile(self):
-        fit = exact_exponential_fit()
-        lam_star = 0.97
-        w = 5e-4
-        grid = np.array([lam_star - w, lam_star + w])
-        # Not admissible (phi drops to 0 above the window), so built directly.
-        phi = er.SpectralMeasure(grid=grid, values=np.array([1.0, 1.0]) / (2 * w),
-                                 label="window")
-        est = er.spectral_pot(fit, phi)
-        assert est.value == pytest.approx(er.pot_var(fit, lam_star), rel=1e-4)
-
-    def test_admissibility_enforced(self):
-        with pytest.raises(ValueError):
-            er.SpectralMeasure.from_table([0.9, 0.95, 1.0], [2.0, 1.0, 3.0])
-        with pytest.raises(ValueError):
-            er.SpectralMeasure.from_table([0.9, 1.0], [1.0, 2.0])  # integral != 1
-        with pytest.raises(ValueError):
-            er.SpectralMeasure.from_table([0.9, 1.0], [-1.0, 3.0])
-
-    def test_spectrum_must_reach_one(self):
-        # Integrates to 1 and is nondecreasing on its grid, but phi drops from
-        # 20 to 0 above 0.95.
-        with pytest.raises(ValueError, match="end at 1"):
-            er.SpectralMeasure.from_table([0.9, 0.95], [20.0, 20.0])
-
-    def test_weight_below_threshold_rejected(self):
-        fit = er.GpdFit(u=2.0, n_total=1000, n_exceed=100, zeta=0.1, xi=0.1,
-                        beta=1.0, info=np.eye(2), loglik=0.0)
-        with pytest.raises(er.TailOrderError):
-            er.spectral_pot(fit, er.SpectralMeasure.cvar(0.5))
-
-    def test_tabulated_spectrum_against_direct_quadrature(self):
-        fit = er.GpdFit(u=0.5, n_total=4000, n_exceed=800, zeta=0.2, xi=0.25,
-                        beta=0.8, info=np.eye(2), loglik=0.0)
-        grid = np.linspace(0.85, 1.0, 31)
-        raw = np.exp(3.0 * (grid - 0.85))
-        raw /= np.trapezoid(raw, grid)
-        phi = er.SpectralMeasure.from_table(grid, raw)
-        est = er.spectral_pot(fit, phi)
-        oracle, _ = integrate.quad(lambda lam: er.pot_var(fit, lam) * phi(lam),
-                                   0.85, 1.0, epsabs=1e-11, epsrel=1e-9, limit=300,
-                                   points=list(grid[1:-1]))
-        assert est.value == pytest.approx(oracle, rel=1e-6)
-
-
-def reference_spectral_integral(fit, phi, dps=30):
-    """int VaR_lambda phi(lambda) dlambda and its (xi, beta) partials in mpmath.
+def reference_cvar(fit, alpha, dps=30):
+    """POT CVaR at ``alpha`` and its (xi, beta) partials in mpmath: the quantile
+    curve averaged over [alpha, 1), the CVaR spectrum 1/(1 - alpha).
 
     The integral runs in t = -log(1 - lambda), where VaR grows like e^(xi t)
     against the weight e^-t: a plain quadrature in lambda misses the
     (1 - lambda)^-xi endpoint singularity by about 2% at xi = 0.95.
     """
     with mpmath.workdps(dps):
-        xi, beta, u = (mpmath.mpf(v) for v in (fit.xi, fit.beta, fit.u))
+        xi, beta, u, alpha = (mpmath.mpf(v) for v in (fit.xi, fit.beta, fit.u, alpha))
         log_zeta = mpmath.log(mpmath.mpf(fit.zeta))
-        grid = [mpmath.mpf(g) for g in phi.grid]
-        values = [mpmath.mpf(v) for v in phi.values]
-
-        def spectrum(t):
-            lam = -mpmath.expm1(-t)
-            for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
-                if a <= lam <= b:
-                    return fa + (fb - fa) * (lam - a) / (b - a)
-            return mpmath.mpf(0)
 
         def partials(t):
             big_l = log_zeta + t
@@ -1013,10 +935,9 @@ def reference_spectral_integral(fit, phi, dps=30):
             return g, big_l * mpmath.exp(xi * big_l) / xi - g / xi
 
         def weighted(pick):
-            return lambda t: pick(t) * spectrum(t) * mpmath.exp(-t)
+            return lambda t: pick(t) * mpmath.exp(-t) / (1 - alpha)
 
-        knots = [-mpmath.log1p(-g) for g in grid if g < 1] + \
-            ([mpmath.inf] if grid[-1] == 1 else [])
+        knots = [-mpmath.log1p(-alpha), mpmath.inf]
         value = weighted(lambda t: u + beta * partials(t)[0])
         d_xi = weighted(lambda t: beta * partials(t)[1])
         d_beta = weighted(lambda t: partials(t)[0])
@@ -1024,28 +945,20 @@ def reference_spectral_integral(fit, phi, dps=30):
 
 
 class TestSpectralReference:
-    """The closed-form spectral value and gradient against a 30-digit quadrature."""
+    """POT CVaR, the spectral risk measure whose spectrum is 1/(1 - alpha) on
+    [alpha, 1), and its gradient against a 30-digit quadrature."""
 
     SHAPES = (-0.3, 0.0, 5e-5, 2e-3, 0.5, 0.95)
-
-    @staticmethod
-    def spectra():
-        table = np.array([1.0, 2.0, 2.5, 6.0, 6.0])
-        grid = np.array([0.88, 0.92, 0.95, 0.99, 1.0])
-        ramp_grid = np.array([0.9, 1.0])
-        return [er.SpectralMeasure.cvar(0.99),
-                er.SpectralMeasure.from_table(grid, table / np.trapezoid(table, grid)),
-                er.SpectralMeasure.from_table(ramp_grid, np.array([0.0, 20.0]))]
 
     @pytest.mark.parametrize("xi", SHAPES)
     @pytest.mark.filterwarnings("ignore::evtkrig.evt_risk.HeavyTailWarning")
     def test_value_and_partials(self, xi):
         fit = er.GpdFit(u=1.5, n_total=5000, n_exceed=750, zeta=0.15, xi=xi, beta=0.8,
                         info=np.eye(2), loglik=0.0)
-        for phi in self.spectra():
-            value, d_xi, d_beta = er._spectral_integral(fit, phi)
-            ref = reference_spectral_integral(fit, phi)
-            assert value == pytest.approx(ref[0], rel=1e-12)
-            assert d_xi == pytest.approx(ref[1], rel=1e-11)
-            assert d_beta == pytest.approx(ref[2], rel=1e-12)
-            assert er.spectral_pot(fit, phi).value == value
+        value = er.pot_cvar_value(fit, 0.99)
+        d_xi, d_beta = er.cvar_sensitivity(fit.xi, fit.beta, fit.u, fit.zeta, 0.99)
+        ref = reference_cvar(fit, 0.99)
+        assert value == pytest.approx(ref[0], rel=1e-12)
+        assert d_xi == pytest.approx(ref[1], rel=1e-11)
+        assert d_beta == pytest.approx(ref[2], rel=1e-12)
+        assert er.pot_cvar(fit, 0.99).value == value

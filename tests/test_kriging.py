@@ -451,6 +451,17 @@ class TestSiteChecks:
         expected = outcome(lambda: kg._site_arrays([SimpleNamespace(**fields)]))
         assert outcome(lambda: kg.DesignSite(**fields)) == expected
 
+    def test_mixed_dimensions_rejected(self):
+        # Each site is valid alone; together they have no common dimension.
+        with pytest.raises(ValueError, match="^sites must share a common location dimension$"):
+            kg.fit([kg.DesignSite((0.0,), 1.0), kg.DesignSite((0.0, 1.0), 2.0),
+                    kg.DesignSite((1.0,), 0.5)])
+        sites = [kg.DesignSite((0.0, 1.0), 1.0, 0.1), kg.DesignSite((1.0, 0.5), 3.0, 0.2)]
+        payload = json.loads(kg.assemble(sites, tau2=1.0, theta=[1.0, 1.0]).to_json())
+        payload["sites"][1]["location"] = [1.0]
+        with pytest.raises(ValueError, match="^sites must share a common location dimension$"):
+            kg.KrigingModel.from_json(json.dumps(payload))
+
 
 class TestLikelihoodGradient:
     """The search objective returns the exact gradient of the profile likelihood."""
