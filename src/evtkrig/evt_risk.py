@@ -37,6 +37,7 @@ __all__ = [
     "as_sample",
     "empirical_var",
     "empirical_cvar",
+    "empirical_cvar_levels",
     "gpd_cdf",
     "gpd_logpdf",
     "gpd_score",
@@ -175,27 +176,64 @@ def empirical_var(sample, alpha: float) -> float:
     return float(np.partition(x, k - 1)[k - 1])
 
 
+def empirical_cvar_levels(sample, alphas) -> tuple[np.ndarray, np.ndarray, list]:
+    """Empirical CVaR values and transform variances of one sample at each level.
+
+    Entry a is :func:`empirical_cvar` at ``alphas[a]``, except that a level
+    with fewer than two observations at or beyond its quantile gives NaN and,
+    in the third list, the InsufficientTailError that :func:`empirical_cvar`
+    raises (None for every level that succeeds).
+
+    One partition at the lowest rank that a level needs splits off the
+    sample's upper tail, and only that tail is sorted. A level's quantile q is
+    an entry of the sorted tail; its count m of observations at or beyond q is
+    read there, plus any ties with the tail's lowest entry left below the
+    partition. The transform W_i = q + (x_i - q)+ n / m is q wherever x_i is
+    not strictly beyond q, so with d = W_bar - q (the strict excesses' sum
+    over m), sum((W_i - W_bar)^2) is the sum of (e_i - d)^2 over the m' strict
+    excesses, e_i = (x_i - q) n / m, plus (n - m') d^2.
+    """
+    x = as_sample(sample)
+    alphas = [_check_alpha(a) for a in alphas]
+    n = x.size
+    ranks = [_order_index(alpha, n) for alpha in alphas]
+    values, variances = np.full(len(alphas), np.nan), np.full(len(alphas), np.nan)
+    errors = [None] * len(alphas)
+    low = min(ranks, default=n)
+    parted = np.partition(x, low - 1)
+    tail = np.sort(parted[low - 1:])
+    ties_below = int(np.count_nonzero(parted[:low - 1] == tail[0]))
+    for a, (alpha, rank) in enumerate(zip(alphas, ranks)):
+        q = float(tail[rank - low])
+        m = tail.size - int(np.searchsorted(tail, q, "left"))
+        if q == tail[0]:
+            m += ties_below
+        if m < 2:
+            errors[a] = InsufficientTailError(
+                f"only {m} observation(s) at or beyond the {alpha} quantile; need >= 2")
+            continue
+        excess = tail[np.searchsorted(tail, q, "right"):] - q
+        d = float(excess.sum()) / m
+        dev = excess * (n / m) - d
+        values[a] = q + d
+        variances[a] = (float(dev @ dev) + (n - excess.size) * d * d) / (n * (n - 1))
+    return values, variances, errors
+
+
 def empirical_cvar(sample, alpha: float) -> RiskEstimate:
     """Empirical CVaR (tail average) with its transform-based variance.
 
     With q the empirical quantile and m the count of observations at or
     beyond it, the tail-average transform W_i = q + (x_i - q)+ n / m has
     mean equal to the tail average, the value; the variance is
-    sum((W_i - W_bar)^2) / (n (n - 1)).
+    sum((W_i - W_bar)^2) / (n (n - 1)). The batch of one of
+    :func:`empirical_cvar_levels`.
     """
-    x = as_sample(sample)
-    alpha, n = _check_alpha(alpha), x.size
-    k = _order_index(alpha, n)
-    q = float(np.partition(x, k - 1)[k - 1])
-    m = int(np.count_nonzero(x >= q))
-    if m < 2:
-        raise InsufficientTailError(
-            f"only {m} observation(s) at or beyond the {alpha} quantile; need >= 2")
-    w = q + np.maximum(x - q, 0.0) * (n / m)
-    w_bar = float(w.mean())
-    dev = w - w_bar
-    return RiskEstimate(value=w_bar, variance=float(dev @ dev) / (n * (n - 1)),
-                        alpha=alpha, method="empirical")
+    (value,), (variance,), (error,) = empirical_cvar_levels(sample, [alpha])
+    if error is not None:
+        raise error
+    return RiskEstimate(value=float(value), variance=float(variance), alpha=float(alpha),
+                        method="empirical")
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,43 @@ class SiteEstimate:
     boundary_fits: int = 0
 
 
+def _reads_empirical(method: str, n: int) -> bool:
+    """Whether ``method`` reads empirical estimates at n replications per site:
+    ORD-KRG and EMP-EMP always, POT-EVT for its n = 1 fallback."""
+    return method in (ORD_KRG, EMP_EMP) or (method == POT_EVT and n == 1)
+
+
+class _Empirical:
+    """Empirical CVaR estimates of k sites x n replications at each of ``alphas``.
+
+    Each sample is added once (:meth:`add`) and not kept. ``values`` and
+    ``variances`` have shape (levels, k, n), NaN where an estimate failed;
+    ``errors`` holds each failed estimate's InsufficientTailError by (level
+    index, site, replication), raised only when a consumer reads it (:meth:`at`).
+    """
+
+    def __init__(self, alphas, k: int, n: int):
+        self.alphas = tuple(alphas)
+        self.values = np.full((len(self.alphas), k, n), np.nan)
+        self.variances = np.full((len(self.alphas), k, n), np.nan)
+        self.errors = {}
+
+    def add(self, site: int, rep: int, sample) -> None:
+        values, variances, errors = evt_risk.empirical_cvar_levels(sample, self.alphas)
+        self.values[:, site, rep], self.variances[:, site, rep] = values, variances
+        self.errors.update(((a, site, rep), e) for a, e in enumerate(errors) if e is not None)
+
+    def at(self, alpha: float, site: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Values and variances at ``alpha``: shape (k, n), or (n,) for one site.
+        The first failed estimate among them in sample order raises."""
+        a = self.alphas.index(alpha)
+        failed = sorted(key for key in self.errors if key[0] == a and site in (None, key[1]))
+        if failed:
+            raise self.errors[failed[0]]
+        rows = slice(None) if site is None else site
+        return self.values[a, rows], self.variances[a, rows]
+
+
 def estimate_site(method: str, samples, alpha: float,
                   threshold_quantile: float = 0.9,
                   gpd_fits=None) -> SiteEstimate:
@@ -112,33 +149,42 @@ def estimate_site(method: str, samples, alpha: float,
         gpd_fits = [evt_risk.fit_gpd(s, threshold_quantile) for s in samples]
     if method in _POT_METHODS and len(gpd_fits) != n:
         raise ValueError("gpd_fits length must match the number of replications")
-    return _site_estimates(method, [samples], [gpd_fits], alpha)[0]
+    empirical = None
+    if _reads_empirical(method, n):
+        empirical = _Empirical((alpha,), 1, n)
+        for j, s in enumerate(samples):
+            empirical.add(0, j, s)
+    return _site_estimates(method, [gpd_fits], empirical, alpha)[0]
 
 
-def _site_estimates(method: str, samples, fits, alpha: float) -> list[SiteEstimate]:
+def _site_estimates(method: str, fits, empirical: _Empirical | None,
+                    alpha: float) -> list[SiteEstimate]:
     """One method's estimates of k sites at level ``alpha``.
 
-    ``samples[i]`` holds site i's n replications and ``fits[i]`` their tail
-    fits, which only the POT methods read. The response is the mean over
-    replications of the empirical CVaR (ORD-KRG, EMP-EMP) or the POT CVaR
-    (POT-EMP, POT-EVT). The variance of that mean is zero (ORD-KRG), the
-    replications' squared deviation over n (POT-EMP), or sum(V_j) / n^2 over
-    their tail-average-transform (EMP-EMP) or delta-method (POT-EVT)
-    variances V_j. Where a POT-EVT fit's information is singular, the site
-    falls back to the squared deviation for n >= 2 and to the transform
-    variance of its one sample for n = 1; fallbacks are counted.
+    ``fits[i]`` holds the tail fits of site i's n replications, which only
+    the POT methods read, and ``empirical`` their empirical estimates, which
+    ORD-KRG and EMP-EMP read and POT-EVT reads for its n = 1 fallback. No
+    sample is read: each was dropped once its fit and estimates were taken.
+    The response is the mean over replications of the empirical CVaR
+    (ORD-KRG, EMP-EMP) or the POT CVaR (POT-EMP, POT-EVT). The variance of
+    that mean is zero (ORD-KRG), the replications' squared deviation over n
+    (POT-EMP), or sum(V_j) / n^2 over their tail-average-transform (EMP-EMP)
+    or delta-method (POT-EVT) variances V_j. Where a POT-EVT fit's
+    information is singular, the site falls back to the squared deviation
+    for n >= 2 and to the transform variance of its one sample for n = 1;
+    fallbacks are counted. A failed empirical estimate raises only where it
+    is read.
     """
-    k, n = len(samples), len(samples[0])
     pot = method in _POT_METHODS
     if pot:
+        k, n = len(fits), len(fits[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
             values, variances, singular = (a.reshape(k, n) for a in evt_risk.pot_cvar_many(
                 [f for site in fits for f in site], alpha))
     else:
-        ests = [evt_risk.empirical_cvar(s, alpha) for site in samples for s in site]
-        values, variances = (np.array([getattr(e, name) for e in ests]).reshape(k, n)
-                             for name in ("value", "variance"))
+        values, variances = empirical.at(alpha)
+        k, n = values.shape
         singular = np.zeros((k, n), bool)
     out = []
     for i in range(k):
@@ -148,7 +194,7 @@ def _site_estimates(method: str, samples, fits, alpha: float) -> list[SiteEstima
         elif method == POT_EMP or (fallbacks and n >= 2):
             var = float(values[i].var(ddof=1)) / n
         elif fallbacks:
-            var = evt_risk.empirical_cvar(samples[i][0], alpha).variance
+            var = float(empirical.at(alpha, i)[1][0])
         else:
             var = float(np.sum(variances[i])) / n**2
         site_fits = fits[i] if pot else ()
@@ -349,33 +395,56 @@ def _design_points(config: ExperimentConfig, macro_rep: int) -> np.ndarray:
     return lhs(_benchmark_domain(), k, RngStream(config.seed, (_KEY_DESIGN, macro_rep)))
 
 
+def _sample_pass(config: ExperimentConfig, design: np.ndarray, macro_rep: int):
+    """Simulate a macro-rep's samples one site at a time and take from each
+    sample, as it is drawn, all that the roster reads.
+
+    Each sample is folded into the crc32 digest of the macro-rep's data, in
+    site and replication order; fit a GPD tail from the full sample if a POT
+    method is on the roster, until the first fit fails; and given its
+    empirical estimates at every level if a method reads them (see
+    :func:`_reads_empirical`). A site's samples are dropped before the next
+    site is drawn, the last site's on return. Returns (digest, fits, first
+    fit error, empirical estimates or None).
+    """
+    roster = config.resolved_methods()
+    shape = config.budget_allocation
+    fits, fit_error, digest = [], None, 0
+    pot = bool(set(_POT_METHODS) & set(roster))
+    empirical = None
+    if any(_reads_empirical(m, shape.n) for m in roster):
+        empirical = _Empirical(config.alphas, len(design), shape.n)
+    for i, x in enumerate(design):
+        site = _simulate_site(config, x, macro_rep, i)
+        for s in site:
+            digest = zlib.crc32(s, digest)
+        if pot and fit_error is None:
+            try:
+                fits.append([evt_risk.fit_gpd(s, config.threshold_quantile) for s in site])
+            except evt_risk.RiskError as exc:
+                fit_error = exc
+        if empirical is not None:
+            for j, s in enumerate(site):
+                empirical.add(i, j, s)
+    return digest, fits, fit_error, empirical
+
+
 def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.ndarray,
                    truths: dict[float, np.ndarray]) -> list[ResultRecord]:
+    """Every (method, alpha) record of one macro-replication. The records are
+    built from :func:`_sample_pass`'s digest, fits and empirical estimates;
+    no sample is alive by then.
+    """
     design = _design_points(config, macro_rep)
-    roster = config.resolved_methods()
-
-    data = [_simulate_site(config, x, macro_rep, i) for i, x in enumerate(design)]
-    digest = 0
-    for site in data:
-        for arr in site:
-            digest = zlib.crc32(arr, digest)
-
-    fits, fit_error = [], None
-    if set(_POT_METHODS) & set(roster):
-        try:
-            fits = [[evt_risk.fit_gpd(s, config.threshold_quantile) for s in site]
-                    for site in data]
-        except evt_risk.RiskError as exc:
-            fit_error = exc
-
+    digest, fits, fit_error, empirical = _sample_pass(config, design, macro_rep)
     records = []
-    for method in roster:
+    for method in config.resolved_methods():
         for alpha in config.alphas:
             mape, diag = None, f"data={digest:08x}"
             try:
                 if fit_error is not None and method in _POT_METHODS:
                     raise fit_error
-                ests = _site_estimates(method, data, fits, alpha)
+                ests = _site_estimates(method, fits, empirical, alpha)
                 model = kriging.fit([kriging.DesignSite(tuple(x), e.response, e.variance)
                                      for x, e in zip(design, ests)])
                 preds, _ = model.predict_many(test_points)

@@ -132,10 +132,22 @@ def _correlation(sqdiff: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(-(sqdiff @ theta))
 
 
+def _location(loc) -> np.ndarray | None:
+    """A site location as a float array of at least one dimension, or None for
+    a ragged nested location, which numpy cannot shape."""
+    try:
+        return np.atleast_1d(np.asarray(loc, dtype=float))
+    except ValueError:
+        if np.iterable(loc) and any(np.iterable(v) and not isinstance(v, (str, bytes))
+                                    for v in loc):
+            return None
+        raise
+
+
 def _site_arrays(sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    locs = [np.atleast_1d(np.asarray(s.location, dtype=float)) for s in sites]
+    locs = [_location(s.location) for s in sites]
     # Checked before stacking: numpy rejects ragged locations with its own error.
-    if not locs or any(v.ndim != 1 or v.shape != locs[0].shape for v in locs):
+    if not locs or any(v is None or v.ndim != 1 or v.shape != locs[0].shape for v in locs):
         raise ValueError("sites must share a common location dimension")
     locs = np.array(locs)
     resp = np.array([float(s.response) for s in sites])

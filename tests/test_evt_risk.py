@@ -3,11 +3,12 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, optimize
 
 from evtkrig import evt_risk as er
@@ -62,7 +63,61 @@ class TestEmpiricalVar:
                 er.empirical_var([1.0, 2.0], alpha)
 
 
+def full_sample_cvar(x, alpha):
+    """The full-sample formula of ``empirical_cvar`` in exact arithmetic.
+
+    With q the empirical quantile and m the count of observations at or
+    beyond it, the mean and the variance sum((W_i - W_bar)^2) / (n (n - 1))
+    of the transform W_i = q + (x_i - q)+ n / m over every observation, as
+    fractions; or m itself where m < 2.
+    """
+    n = len(x)
+    q = sorted(x)[er._order_index(alpha, n) - 1]
+    m = sum(v >= q for v in x)
+    if m < 2:
+        return m
+    w = [Fraction(q) + max(Fraction(v) - Fraction(q), 0) * Fraction(n, m) for v in x]
+    w_bar = sum(w) / n
+    return w_bar, sum((v - w_bar) ** 2 for v in w) / (n * (n - 1))
+
+
+# Small integers tie often; bounded floats rarely do.
+EMPIRICAL_SAMPLES = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=40),
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40),
+    st.tuples(st.floats(-1e3, 1e3), st.integers(2, 40)).map(lambda c: [c[0]] * c[1]))
+LEVELS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
 class TestEmpiricalCvar:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(x=EMPIRICAL_SAMPLES, alphas=st.lists(LEVELS, min_size=1, max_size=4, unique=True))
+    @example(x=[1.0, 2.0], alphas=[0.5, 0.6])  # n = 2: m = 2, then m = 1
+    @example(x=[1.0, 2.0, 3.0, 4.0, 5.0], alphas=[0.8, 0.6])  # m = 2 at the higher level
+    @example(x=[0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0], alphas=[0.3, 0.5, 0.95])  # ties at q
+    @example(x=[2.5] * 9, alphas=[0.1, 0.99])  # constant: every level ties at q
+    @example(x=[1.0, 2.0, 3.0, 3.0], alphas=[0.9])  # ties at the maximum: m = 2
+    def test_levels_match_the_full_sample_formula(self, x, alphas):
+        # One tail pass serves every level; each level must match the
+        # full-sample formula, or fail with empirical_cvar's error.
+        values, variances, errors = er.empirical_cvar_levels(x, alphas)
+        scale = max(abs(v) for v in x)
+        for alpha, value, variance, error in zip(alphas, values, variances, errors):
+            ref = full_sample_cvar(x, alpha)
+            if isinstance(ref, int):
+                message = (f"only {ref} observation(s) at or beyond the {alpha} quantile; "
+                           "need >= 2")
+                assert isinstance(error, er.InsufficientTailError) and str(error) == message
+                assert math.isnan(value) and math.isnan(variance)
+                with pytest.raises(er.InsufficientTailError, match=f"^{re.escape(message)}$"):
+                    er.empirical_cvar(x, alpha)
+                continue
+            assert error is None
+            assert value == pytest.approx(float(ref[0]), rel=1e-12, abs=1e-12 * scale)
+            assert variance == pytest.approx(float(ref[1]), rel=1e-12)
+            assert er.empirical_cvar(x, alpha) == er.RiskEstimate(value, variance, alpha,
+                                                                  "empirical")
+
     def test_one_to_ten(self):
         est = er.empirical_cvar(np.arange(1, 11.0), 0.8)
         assert est.value == pytest.approx(9.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,9 +97,13 @@ class TestEstimateSite:
                 for i, x in enumerate(hn._design_points(cfg, 0))]
         fits = [[er.fit_gpd(s, cfg.threshold_quantile) for s in site] for site in data]
         fits[2][0] = dataclasses.replace(fits[2][0], info=np.ones((2, 2)))
+        empirical = hn._Empirical((0.95, 0.99), len(data), n)
+        for i, site in enumerate(data):
+            for j, s in enumerate(site):
+                empirical.add(i, j, s)
         assert len(cfg.resolved_methods()) == (3 if n == 1 else 4)
         for method, alpha in itertools.product(cfg.resolved_methods(), (0.95, 0.99)):
-            batch = hn._site_estimates(method, data, fits, alpha)
+            batch = hn._site_estimates(method, fits, empirical, alpha)
             assert batch == [hn.estimate_site(method, site, alpha, gpd_fits=site_fits)
                              for site, site_fits in zip(data, fits)]
             assert [e.fallbacks for e in batch] == [
@@ -319,6 +324,65 @@ class TestRunExperiment:
         assert failed[0].diagnostics.endswith(
             ";error=TailOrderError: alpha=0.9 lies below the threshold level 0.9045")
         assert issubclass(er.TailOrderError, ValueError)
+
+    @pytest.mark.parametrize("singular_site", [3, 5])
+    def test_failed_empirical_estimate_fails_only_its_readers(self, monkeypatch,
+                                                              singular_site):
+        # At alpha = 0.9996 of 2,000 observations the quantile is the maximum,
+        # so an estimate has two observations at or beyond it only where the
+        # maximum is tied. Every site's is tied but site 3's, whose estimate
+        # fails there. POT-EVT reads it only to replace a singular fit's
+        # variance (n = 1), so it fails only when site 3's fit is the singular one.
+        real_sim, real_fit, fits = hn._simulate_site, hn.evt_risk.fit_gpd, []
+
+        def tied(config, location, macro_rep, site_index):
+            samples = real_sim(config, location, macro_rep, site_index)
+            if site_index != 3:
+                order = np.argsort(samples[0])
+                samples[0][order[-2]] = samples[0][order[-1]]
+            return samples
+
+        def singular(sample, threshold_quantile):
+            fits.append(real_fit(sample, threshold_quantile))
+            if len(fits) - 1 == singular_site:
+                return dataclasses.replace(fits[-1], info=np.ones((2, 2)))
+            return fits[-1]
+
+        monkeypatch.setattr(hn, "_simulate_site", tied)
+        monkeypatch.setattr(hn.evt_risk, "fit_gpd", singular)
+        cfg = hn.ExperimentConfig(scenario="san", san_budget=2000, alphas=(0.95, 0.9996),
+                                  macro_replications=1, seed=9, n_test=20)
+        recs = hn.run_experiment(cfg)
+        assert len(recs) == 6  # 3 methods x 2 alphas
+        failed = sorted((r.method, r.alpha) for r in recs if r.mape is None)
+        readers = [hn.EMP_EMP, hn.ORD_KRG] + [hn.POT_EVT] * (singular_site == 3)
+        assert failed == [(m, 0.9996) for m in sorted(readers)]
+        digest = recs[0].diagnostics.split(";")[0]
+        for r in recs:
+            if r.mape is None:
+                assert r.diagnostics == (
+                    f"{digest};error=InsufficientTailError: only 1 observation(s) at or "
+                    "beyond the 0.9996 quantile, need >= 2")
+            elif r.method == hn.POT_EVT:
+                assert ";fallbacks=1;" in r.diagnostics
+
+    def test_samples_are_dropped_as_they_are_drawn(self):
+        # 50 sites x 1 replication x 2,000 observations: 800,000 bytes of
+        # samples. A macro-rep holds one site's at a time, so its allocation
+        # peak stays under half of that. The first run warms the caches.
+        cfg = hn.ExperimentConfig(scenario="normal", allocation=3, macro_replications=1,
+                                  methods=(hn.EMP_EMP, hn.POT_EVT), alphas=(0.99,),
+                                  n_test=20)
+        shape = cfg.budget_allocation
+        assert (shape.k, shape.n, shape.n_obs) == (50, 1, 2000)
+        hn.run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            hn.run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < shape.k * shape.n * shape.n_obs * 8 / 2
 
     def test_singular_design_fails_only_its_own_cell(self, monkeypatch):
         base = dict(scenario="san", san_budget=1000, alphas=(0.95, 0.99),

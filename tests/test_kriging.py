@@ -461,6 +461,13 @@ class TestSiteChecks:
         payload["sites"][1]["location"] = [1.0]
         with pytest.raises(ValueError, match="^sites must share a common location dimension$"):
             kg.KrigingModel.from_json(json.dumps(payload))
+        # One site whose nested location is ragged has no dimension either.
+        with pytest.raises(ValueError, match="^sites must share a common location dimension$"):
+            kg.DesignSite(((1.0,), (2.0, 3.0)), 1.0)
+        ragged = SimpleNamespace(location=((1.0,), (2.0, 3.0)), response=1.0,
+                                 intrinsic_variance=0.0)
+        with pytest.raises(ValueError, match="^sites must share a common location dimension$"):
+            kg.fit([ragged, kg.DesignSite((0.0,), 2.0), kg.DesignSite((1.0,), 0.5)])
 
 
 class TestLikelihoodGradient:
