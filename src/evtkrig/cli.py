@@ -133,6 +133,7 @@ def cmd_fit_gpd(args) -> int:
 def cmd_estimate(args) -> int:
     losses = read_csv(args.input, columns=1)[:, 0]
     evt_risk._check_alpha(args.alpha)
+    evt_risk._check_alpha(args.threshold_quantile, "threshold_quantile")
     payload: dict = {"alpha": args.alpha, "method": args.method, "n": int(losses.size)}
     if args.method == "empirical":
         est = evt_risk.empirical_cvar(losses, args.alpha)

@@ -151,6 +151,11 @@ def _in_unit(value) -> bool:
             and 0.0 < value < 1.0)
 
 
+def _is_int(value) -> bool:
+    """An integer (not a bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
     if not _in_unit(alpha):
         raise ValueError(f"{name} must lie in (0, 1), got {alpha!r}")
@@ -166,6 +171,12 @@ def _order_index(alpha: float, n: int) -> int:
     if n < 2:
         raise ValueError("empirical quantile needs at least 2 observations")
     return min(max(math.ceil(alpha * n - 1e-9), 1), n)
+
+
+def _threshold_rank(threshold_quantile: float, n: int) -> int:
+    """The rank of :func:`fit_gpd`'s threshold among n >= 2 order statistics,
+    min(ceil(q n), n - MIN_EXCEEDANCES); POT covers the levels from rank / n up."""
+    return min(_order_index(threshold_quantile, n), n - MIN_EXCEEDANCES)
 
 
 def empirical_var(sample, alpha: float) -> float:
@@ -446,8 +457,7 @@ def fit_gpd_exceedances(z, n_total: int | None = None, u: float = 0.0,
         raise ValueError("exceedances must be nonnegative")
     if n_total is None:
         n_total = z.size
-    if (not isinstance(n_total, numbers.Integral) or isinstance(n_total, bool)
-            or n_total < z.size):
+    if not _is_int(n_total) or n_total < z.size:
         raise ValueError(f"n_total must be an integer >= the {z.size} exceedances, "
                          f"got {n_total!r}")
     if not (isinstance(u, numbers.Real) and math.isfinite(u)):
@@ -502,7 +512,7 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
     """Threshold a sample at an empirical quantile and fit the GPD tail.
 
     The threshold is the min(ceil(q N), N - 30)-th of the N order statistics
-    (q defaults to 0.9; see :func:`_order_index`), so at least 30 exceedances
+    (q defaults to 0.9; see :func:`_threshold_rank`), so at least 30 exceedances
     are left unless ties sit at the threshold. Samples under 60 observations
     are rejected outright.
     """
@@ -512,7 +522,7 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
     if n < 2 * MIN_EXCEEDANCES:
         raise InsufficientDataError(
             f"need at least {2 * MIN_EXCEEDANCES} observations for a tail fit, got {n}")
-    k = min(_order_index(threshold_quantile, n), n - MIN_EXCEEDANCES)
+    k = _threshold_rank(threshold_quantile, n)
     u = float(np.partition(x, k - 1)[k - 1])
     z = x[x > u] - u
     if z.size < MIN_EXCEEDANCES:

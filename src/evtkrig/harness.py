@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
-import numbers
 import os
 import threading
 import warnings
@@ -39,7 +38,7 @@ from scipy import special
 
 from . import evt_risk, kriging, models
 from .design import BudgetAllocation, Domain, allocation_by_id, equally_spaced, lhs
-from .evt_risk import _in_unit
+from .evt_risk import _in_unit, _is_int
 from .rng import RngStream
 
 __all__ = [
@@ -209,10 +208,6 @@ def _site_estimates(method: str, fits, empirical: _Empirical | None,
 # Experiment configuration and records
 # ---------------------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _non_empty(value) -> bool:
     return isinstance(value, (tuple, list)) and len(value) > 0
 
@@ -253,12 +248,17 @@ class ExperimentConfig:
         ``SAN_DESIGN_POINTS + 2`` points to keep two."""
         scenarios = models.NOISE_SCENARIOS + ("san",)
         min_test = SAN_DESIGN_POINTS + 2 if self.scenario == "san" else 2
+        shape = self.allocation
         rules = (
             ("scenario", self.scenario in scenarios, f"one of {scenarios}"),
             ("san_budget", self.scenario != "san"
              or (_is_int(self.san_budget) and self.san_budget >= 100), "an integer >= 100"),
+            ("allocation", not isinstance(shape, BudgetAllocation) or all(
+                _is_int(v) and v >= low for v, low in ((shape.k, 2), (shape.n, 1),
+                                                       (shape.n_obs, 2))),
+             "a budget allocation of integers k >= 2, n >= 1 and N >= 2"),
             ("alphas", _non_empty(self.alphas) and all(_in_unit(a) for a in self.alphas)
-             and _distinct(self.alphas), "a non-empty list of distinct numbers in (0, 1)"),
+             and _distinct(self.alphas), "a non-empty list of distinct levels in (0, 1)"),
             ("macro_replications",
              _is_int(self.macro_replications) and self.macro_replications >= 1,
              "an integer >= 1"),
@@ -284,11 +284,8 @@ class ExperimentConfig:
                 except ValueError as exc:
                     problems.append(("allocation", str(exc)))
         if not problems and set(_POT_METHODS) & set(self.resolved_methods()):
-            # fit_gpd's threshold: the ceil(q N)-th order statistic, lowered to
-            # leave MIN_EXCEEDANCES above it. POT covers only levels at or above it.
             n = self.budget_allocation.n_obs
-            level = min(evt_risk._order_index(self.threshold_quantile, n),
-                        n - evt_risk.MIN_EXCEEDANCES) / n
+            level = evt_risk._threshold_rank(self.threshold_quantile, n) / n
             if min(self.alphas) < level:
                 problems.append(("alphas", f"must be >= {level:.6g}, the POT threshold "
                                  f"level of {n} observations, got {self.alphas!r}"))

@@ -82,7 +82,9 @@ class SingularDesignError(RuntimeError):
 class DesignSite:
     """One aggregated observation: location, response, and its estimator variance.
 
-    Every value must be finite and the variance nonnegative (ValueError).
+    Every value must be finite and the variance nonnegative (ValueError). A
+    site is checked by the same rule, with the same messages, as the sites
+    that :func:`fit` and :func:`assemble` receive.
     """
 
     location: tuple[float, ...]
@@ -90,19 +92,7 @@ class DesignSite:
     intrinsic_variance: float = 0.0
 
     def __post_init__(self):
-        # Floats are checked directly, without building arrays; anything else
-        # (ints, arrays, nested tuples) meets numpy's conversion in _site_arrays.
-        loc, resp, var = self.location, self.response, self.intrinsic_variance
-        coords = loc if type(loc) is tuple else (loc,)
-        if not all(isinstance(v, float) for v in (*coords, resp, var)):
-            _site_arrays([self])
-            return
-        for name, values in (("location", coords), ("response", (resp,)),
-                             ("intrinsic_variance", (var,))):
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"site {name} must be finite")
-        if var < 0.0:
-            raise ValueError("intrinsic variances must be nonnegative")
+        _site_arrays([self])
 
 
 def kernel(a, b, theta) -> float:
@@ -311,14 +301,13 @@ def assemble(sites, tau2: float, theta, beta0: float | None = None,
                         nugget=float(nugget), loglik=ll, _chol=chol, _weights=weights)
 
 
-def _neg_profile_loglik(params, pairs, dpairs, resp, intr, nugget,
-                        columns=None) -> tuple[float, np.ndarray]:
+def _neg_profile_loglik(params, pairs, dpairs, columns, intr, nugget) -> tuple[float, np.ndarray]:
     """Negative profile log-likelihood at params = (log tau^2, log theta) and its
     gradient; (1e300, 0) when the covariance does not factor. Sigma is built on the
     ``_site_pairs`` and factored once; ``dpotrs`` solves and ``dpotri`` inverts it.
-    ``columns`` is ``_trend_columns(resp)``, which ``fit`` builds once per site set;
-    ``fit`` hands the value and the gradient of one call to L-BFGS-B as two
-    callables, and calls this at most once per psi and nugget.
+    The responses Y come in ``columns``, ``_trend_columns(Y)``, which ``fit`` builds
+    once per site set; ``fit`` hands the value and the gradient of one call to
+    L-BFGS-B as two callables, and calls this at most once per psi and nugget.
 
     With W = alpha alpha' - Sigma^-1, the log-likelihood gradient is
     1/2 tr(W dSigma/dpsi), where dSigma/dlog tau^2 = tau^2 (R + nugget I) and
@@ -332,7 +321,7 @@ def _neg_profile_loglik(params, pairs, dpairs, resp, intr, nugget,
         chol, _ = linalg.cho_factor(sigma, lower=True, overwrite_a=True, check_finite=False)
     except linalg.LinAlgError:
         return 1e300, np.zeros_like(params)
-    _, alpha, ll = _profile_pieces(chol, _trend_columns(resp) if columns is None else columns)
+    _, alpha, ll = _profile_pieces(chol, columns)
     # -W = Sigma^-1 - alpha alpha', lower triangle: dpotri, then a rank-one update.
     neg_w, _ = lapack.dpotri(chol, lower=1, overwrite_c=1)
     neg_w = blas.dsyr(-1.0, alpha, lower=1, a=neg_w, overwrite_a=1)
@@ -404,8 +393,8 @@ def fit(sites) -> KrigingModel:
             key = psi.tobytes()
             hit = evaluated.get(key)
             if hit is None:
-                hit = evaluated[key] = _neg_profile_loglik(psi, pairs, dpairs, resp, intr,
-                                                           nugget, columns)
+                hit = evaluated[key] = _neg_profile_loglik(psi, pairs, dpairs, columns,
+                                                           intr, nugget)
             return hit
 
         def value(psi):

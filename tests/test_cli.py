@@ -91,6 +91,14 @@ class TestEstimate:
     def test_alpha_out_of_range(self, exp_losses_csv, capsys):
         assert run_cli("estimate", "--input", exp_losses_csv, "--alpha", "1.5") == 1
 
+    def test_threshold_quantile_out_of_range(self, exp_losses_csv, capsys):
+        # The empirical route never reads the flag, but it is checked all the same.
+        assert run_cli("estimate", "--input", exp_losses_csv, "--alpha", "0.95",
+                       "--method", "empirical", "--threshold-quantile", "7") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "threshold_quantile must lie in (0, 1), got 7.0" in err
+
     def test_only_first_column_is_read(self, tmp_path, capsys):
         p = tmp_path / "labelled.csv"
         p.write_text("loss,label\n" + "\n".join(f"{i}.0,run{i}" for i in range(1, 11)) + "\n")

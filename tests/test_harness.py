@@ -157,6 +157,14 @@ class TestExperimentConfig:
         for bad in (16, True, "3"):
             with pytest.raises(ValueError, match="allocation"):
                 hn.ExperimentConfig(scenario="pareto", allocation=bad).validate()
+        # A run needs k >= 2 sites, n >= 1 replications and N >= 2 observations.
+        for k, n, n_obs in ((1, 1, 200), (0, 1, 200), (5, 0, 200), (5, 1, 1)):
+            cell = hn.ExperimentConfig(scenario="normal", macro_replications=1, n_test=5,
+                                       allocation=BudgetAllocation(0, k, n, n_obs,
+                                                                   k * n * n_obs))
+            with pytest.raises(hn.ConfigError) as info:
+                cell.validate()
+            assert [name for name, _ in info.value.args] == ["allocation"]
 
     def test_alphas_below_pot_threshold_level_rejected(self):
         # 1,000 observations at q = 0.99 leave 10 exceedances; fit_gpd lowers the
@@ -187,17 +195,20 @@ class TestExperimentConfig:
            q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            seed=st.integers(0, 2**32 - 1))
     def test_fit_threshold_level_is_the_validated_floor(self, n, q, seed):
-        # On a tie-free sample 1 - zeta is the threshold's rank over n, and
-        # validate admits exactly the levels at or above it.
-        x = np.random.default_rng(seed).permutation(n) + 1.0
-        fit = er.fit_gpd(x, q)
-        level = (n - fit.n_exceed) / n
+        # fit_gpd and validate share one threshold rank. On a tie-free sample
+        # the fit leaves exactly n - rank exceedances, so 1 - zeta is rank / n;
+        # validate admits exactly the levels at or above it, and the fit covers it.
+        rank = er._threshold_rank(q, n)
+        fit = er.fit_gpd(RngStream(seed).generator().exponential(size=n), q)
+        assert fit.n_total - fit.n_exceed == rank
+        level = rank / n
         assert 1.0 - fit.zeta == pytest.approx(level, rel=0.0, abs=1e-15)
         cell = dict(scenario="normal", allocation=BudgetAllocation(0, 5, 1, n, 5 * n),
                     threshold_quantile=q, methods=(hn.POT_EVT,))
         hn.ExperimentConfig(alphas=(level,), **cell).validate()
         with pytest.raises(hn.ConfigError, match="alphas"):
             hn.ExperimentConfig(alphas=(float(np.nextafter(level, 0.0)),), **cell).validate()
+        er.pot_cvar_value(fit, level)
 
 
 class TestRunExperiment:

@@ -167,9 +167,9 @@ class TestFit:
         points, requests = [], []
         objective, real_minimize = kg._neg_profile_loglik, kg.optimize.minimize
 
-        def recorded(params, pairs, dpairs, resp, intr, nugget, *rest):
+        def recorded(params, pairs, dpairs, columns, intr, nugget):
             points.append((params.tobytes(), nugget))
-            return objective(params, pairs, dpairs, resp, intr, nugget, *rest)
+            return objective(params, pairs, dpairs, columns, intr, nugget)
 
         def counted(*args, **kwargs):
             result = real_minimize(*args, **kwargs)
@@ -480,7 +480,8 @@ class TestLikelihoodGradient:
         sites, tau2, theta, _ = design
         locs, resp, intr = kg._site_arrays(sites)
         psi = np.log(np.concatenate(([tau2], theta)))
-        value, grad = kg._neg_profile_loglik(psi, *kg._site_pairs(locs), resp, intr, nugget)
+        value, grad = kg._neg_profile_loglik(psi, *kg._site_pairs(locs),
+                                             kg._trend_columns(resp), intr, nugget)
 
         def loglik(p):
             return kg.log_likelihood(sites, math.exp(p[0]), np.exp(p[1:]), nugget=nugget)
@@ -496,8 +497,8 @@ class TestLikelihoodGradient:
         sites = [kg.DesignSite((1.0,), 2.0), kg.DesignSite((1.0,), 3.0),
                  kg.DesignSite((2.0,), 4.0)]
         locs, resp, intr = kg._site_arrays(sites)
-        value, grad = kg._neg_profile_loglik(np.zeros(2), *kg._site_pairs(locs), resp, intr,
-                                             0.0)
+        value, grad = kg._neg_profile_loglik(np.zeros(2), *kg._site_pairs(locs),
+                                             kg._trend_columns(resp), intr, 0.0)
         assert value == 1e300
         assert grad.shape == (2,) and np.all(np.isfinite(grad))
 
