@@ -174,8 +174,12 @@ def _order_index(alpha: float, n: int) -> int:
 
 
 def _threshold_rank(threshold_quantile: float, n: int) -> int:
-    """The rank of :func:`fit_gpd`'s threshold among n >= 2 order statistics,
-    min(ceil(q n), n - MIN_EXCEEDANCES); POT covers the levels from rank / n up."""
+    """The rank of :func:`fit_gpd`'s threshold among n order statistics,
+    min(ceil(q n), n - MIN_EXCEEDANCES); POT covers the levels from rank / n up.
+    InsufficientDataError below 2 MIN_EXCEEDANCES observations."""
+    if n < 2 * MIN_EXCEEDANCES:
+        raise InsufficientDataError(
+            f"need at least {2 * MIN_EXCEEDANCES} observations for a tail fit, got {n}")
     return min(_order_index(threshold_quantile, n), n - MIN_EXCEEDANCES)
 
 
@@ -519,9 +523,6 @@ def fit_gpd(sample, threshold_quantile: float = 0.9) -> GpdFit:
     x = as_sample(sample)
     threshold_quantile = _check_alpha(threshold_quantile, "threshold_quantile")
     n = x.size
-    if n < 2 * MIN_EXCEEDANCES:
-        raise InsufficientDataError(
-            f"need at least {2 * MIN_EXCEEDANCES} observations for a tail fit, got {n}")
     k = _threshold_rank(threshold_quantile, n)
     u = float(np.partition(x, k - 1)[k - 1])
     z = x[x > u] - u

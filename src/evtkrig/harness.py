@@ -153,12 +153,13 @@ def estimate_site(method: str, samples, alpha: float,
         empirical = _Empirical((alpha,), 1, n)
         for j, s in enumerate(samples):
             empirical.add(0, j, s)
-    return _site_estimates(method, [gpd_fits], empirical, alpha)[0]
+    (response,), (variance,), *counts = _site_estimates(method, [gpd_fits], empirical, alpha)
+    return SiteEstimate(float(response), float(variance), *counts)
 
 
-def _site_estimates(method: str, fits, empirical: _Empirical | None,
-                    alpha: float) -> list[SiteEstimate]:
-    """One method's estimates of k sites at level ``alpha``.
+def _site_estimates(method: str, fits, empirical: _Empirical | None, alpha: float):
+    """One method's k site responses and variances at level ``alpha`` as arrays,
+    and its fallback, heavy-tail (xi >= 1/2) and boundary-fit totals.
 
     ``fits[i]`` holds the tail fits of site i's n replications, which only
     the POT methods read, and ``empirical`` their empirical estimates, which
@@ -169,39 +170,33 @@ def _site_estimates(method: str, fits, empirical: _Empirical | None,
     that mean is zero (ORD-KRG), the replications' squared deviation over n
     (POT-EMP), or sum(V_j) / n^2 over their tail-average-transform (EMP-EMP)
     or delta-method (POT-EVT) variances V_j. Where a POT-EVT fit's
-    information is singular, the site falls back to the squared deviation
+    information is singular, its site falls back to the squared deviation
     for n >= 2 and to the transform variance of its one sample for n = 1;
-    fallbacks are counted. A failed empirical estimate raises only where it
-    is read.
+    each such fit is a fallback. A failed empirical estimate raises only
+    where it is read.
     """
-    pot = method in _POT_METHODS
-    if pot:
-        k, n = len(fits), len(fits[0])
+    heavy = boundary = fallbacks = 0
+    if method in _POT_METHODS:
+        flat = [f for site in fits for f in site]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", evt_risk.HeavyTailWarning)
-            values, variances, singular = (a.reshape(k, n) for a in evt_risk.pot_cvar_many(
-                [f for site in fits for f in site], alpha))
+            values, variances, singular = (a.reshape(len(fits), -1)
+                                           for a in evt_risk.pot_cvar_many(flat, alpha))
+        heavy, boundary = sum(f.xi >= 0.5 for f in flat), sum(f.boundary for f in flat)
     else:
         values, variances = empirical.at(alpha)
-        k, n = values.shape
-        singular = np.zeros((k, n), bool)
-    out = []
-    for i in range(k):
-        fallbacks = int(singular[i].sum()) if method == POT_EVT else 0
-        if method == ORD_KRG:
-            var = 0.0
-        elif method == POT_EMP or (fallbacks and n >= 2):
-            var = float(values[i].var(ddof=1)) / n
-        elif fallbacks:
-            var = float(empirical.at(alpha, i)[1][0])
-        else:
-            var = float(np.sum(variances[i])) / n**2
-        site_fits = fits[i] if pot else ()
-        out.append(SiteEstimate(response=float(np.mean(values[i])), variance=var,
-                                fallbacks=fallbacks,
-                                heavy_tails=sum(f.xi >= 0.5 for f in site_fits),
-                                boundary_fits=sum(f.boundary for f in site_fits)))
-    return out
+    n = values.shape[1]
+    if method == ORD_KRG:
+        var = np.zeros(len(values))
+    elif method == POT_EMP:
+        var = values.var(axis=1, ddof=1) / n
+    else:
+        var = variances.sum(axis=1) / n**2
+    if method == POT_EVT:
+        fallbacks = int(singular.sum())
+        for i in np.flatnonzero(singular.any(axis=1)):
+            var[i] = values[i].var(ddof=1) / n if n >= 2 else empirical.at(alpha, i)[1][0]
+    return values.mean(axis=1), var, fallbacks, heavy, boundary
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +237,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every field; raise one :class:`ConfigError` listing each
-        violation. Integer fields reject ``bool``. The POT methods' floor on
-        ``alphas`` depends on other fields, so it is checked once they pass.
+        violation. Integer fields reject ``bool``. Once every field passes, the
+        resolved roster must not be empty, and the POT methods need samples that
+        :func:`evt_risk.fit_gpd` accepts and a floor on ``alphas``.
         A SAN test grid loses the point next to each design site, so it needs
         ``SAN_DESIGN_POINTS + 2`` points to keep two."""
         scenarios = models.NOISE_SCENARIOS + ("san",)
@@ -283,12 +279,18 @@ class ExperimentConfig:
                     allocation_by_id(self.allocation)
                 except ValueError as exc:
                     problems.append(("allocation", str(exc)))
-        if not problems and set(_POT_METHODS) & set(self.resolved_methods()):
+        if not problems and not self.resolved_methods():
+            problems.append(("methods",
+                             f"must not be POT-EMP alone at n = 1, got {self.methods!r}"))
+        elif not problems and set(_POT_METHODS) & set(self.resolved_methods()):
             n = self.budget_allocation.n_obs
-            level = evt_risk._threshold_rank(self.threshold_quantile, n) / n
-            if min(self.alphas) < level:
-                problems.append(("alphas", f"must be >= {level:.6g}, the POT threshold "
-                                 f"level of {n} observations, got {self.alphas!r}"))
+            try:
+                level = evt_risk._threshold_rank(self.threshold_quantile, n) / n
+                if min(self.alphas) < level:
+                    problems.append(("alphas", f"must be >= {level:.6g}, the POT threshold "
+                                     f"level of {n} observations, got {self.alphas!r}"))
+            except evt_risk.InsufficientDataError as exc:
+                problems.append(("allocation", f"the POT methods {exc}"))
         if problems:
             raise ConfigError(*problems)
 
@@ -441,15 +443,14 @@ def _run_macro_rep(config: ExperimentConfig, macro_rep: int, test_points: np.nda
             try:
                 if fit_error is not None and method in _POT_METHODS:
                     raise fit_error
-                ests = _site_estimates(method, fits, empirical, alpha)
-                model = kriging.fit([kriging.DesignSite(tuple(x), e.response, e.variance)
-                                     for x, e in zip(design, ests)])
+                responses, variances, fallbacks, heavy, boundary = _site_estimates(
+                    method, fits, empirical, alpha)
+                model = kriging.fit([kriging.DesignSite(tuple(x), r, v)
+                                     for x, r, v in zip(design, responses, variances)])
                 preds, _ = model.predict_many(test_points)
                 mape = _mape(preds, truths[alpha])
-                diag += (f";nugget={model.nugget:.3g}"
-                         f";fallbacks={sum(e.fallbacks for e in ests)}"
-                         f";heavy={sum(e.heavy_tails for e in ests)}"
-                         f";boundary={sum(e.boundary_fits for e in ests)}")
+                diag += (f";nugget={model.nugget:.3g};fallbacks={fallbacks}"
+                         f";heavy={heavy};boundary={boundary}")
             except (evt_risk.RiskError, kriging.SingularDesignError) as exc:
                 diag += ";error=" + f"{type(exc).__name__}: {exc}".replace(";", ",")
             records.append(ResultRecord(config.scenario, config.allocation_label,

@@ -359,8 +359,8 @@ def fit(sites) -> KrigingModel:
     start's path. The best start is the one with the lowest objective. One
     nugget rule holds for noisy and zero-noise designs alike: search at
     nugget 0 first, then at each nugget of ``NUGGET_LADDER`` in turn, and
-    return the first model whose covariance factors and solves its own
-    system, max|Sigma w - (Y - beta0)| <= ``SOLVE_RTOL`` * max|Y - beta0|.
+    return the first model, assembled at the best start's psi, that solves
+    its own system, max|Sigma w - (Y - beta0)| <= ``SOLVE_RTOL`` * max|Y - beta0|.
     A Cholesky factor of a nearly singular covariance (e.g. nearly
     coincident zero-noise sites) can exist and still give weights that do
     not reproduce the data; the solve check rejects it. The nugget actually
@@ -425,12 +425,9 @@ def fit(sites) -> KrigingModel:
         if best_x is None or best_f >= 1e299:
             failed = "likelihood search failed at every start"
             continue
-        try:
-            model = assemble(sites, tau2=math.exp(best_x[0]), theta=np.exp(best_x[1:]),
-                             nugget=nugget)
-        except SingularDesignError:
-            failed = "best covariance did not factor"
-            continue
+        # The objective has factored this covariance at best_x: assemble cannot fail.
+        model = assemble(sites, tau2=math.exp(best_x[0]), theta=np.exp(best_x[1:]),
+                         nugget=nugget)
         sigma, _ = _covariance(pairs, dpairs, intr, model.tau2, model.theta, nugget)
         resid = resp - model.beta0
         # Row-major: at rounding level the summation order of Sigma w can decide a nugget.

@@ -325,6 +325,8 @@ BAD_CONFIGS = [
     (SAN_CONFIG, {"test_points": 8}, "test_points"),
     (SAN_CONFIG, {"threshold_quantile": 1.0}, "threshold_quantile"),
     (SAN_CONFIG, {"alphas": [0.95], "threshold_quantile": 0.99}, "alphas"),
+    # POT-EMP is dropped at n = 1 (allocation 3), which would leave no method.
+    (BENCHMARK_CONFIG, {"allocations": [3], "methods": ["POT-EMP"]}, "methods"),
 ]
 
 
@@ -481,6 +483,38 @@ class TestRun:
         assert {c.allocation_id for c in grid} == {1, 2, 3, 4, 5}
         assert len({c.scenario for c in grid}) == 3
         assert all(len(c.alphas) == 3 for c in grid)
+
+
+class TestBadInput:
+    # Each subcommand's own input checks, with the files they read: a .json or
+    # .csv argument names a file under tmp_path; model.json is always a valid model.
+    @pytest.mark.parametrize("argv, files, message", [
+        ("run --config missing.json", {}, "cannot read config"),
+        ("run --config cfg.json", {"cfg.json": "{"}, "is not valid JSON"),
+        ("run --config cfg.json", {"cfg.json": "[]"}, "config must be a JSON object"),
+        ("predict --model missing.json --points pts.csv", {"pts.csv": "x1\n0.5\n"},
+         "cannot read model"),
+        ("design --lower 0,x --upper 1,1 --count 3", {},
+         "cannot parse bounds '0,x' as comma-separated floats"),
+        ("fit-gpd --input losses.csv", {"losses.csv": "loss\n1.0\nabc\n2.0\n"},
+         "losses.csv: non-numeric value on line 3"),
+        ("predict --model model.json --points pts.csv", {"pts.csv": "x1\n0.5\n0.1,0.2\n"},
+         "pts.csv: rows have inconsistent column counts"),
+    ], ids=["config-missing", "config-not-json", "config-list", "model-missing",
+            "bounds-not-numbers", "csv-non-numeric-row", "csv-ragged-rows"])
+    def test_rejected_before_any_output(self, argv, files, message, tmp_path, capsys):
+        model = kg.assemble([kg.DesignSite((0.0,), 1.0), kg.DesignSite((1.0,), 3.0)],
+                            tau2=1.0, theta=[1.0])
+        (tmp_path / "model.json").write_text(model.to_json())
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        args = [tmp_path / a if a.endswith((".json", ".csv")) else a for a in argv.split()]
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out-dir" if args[0] == "run" else "--out", out) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 def _proc_stat(pid):

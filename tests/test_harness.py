@@ -88,9 +88,10 @@ class TestEstimateSite:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_k_sites_equal_one_site_at_a_time(self, n):
-        # One macro-rep's sites through the run's k-site path and through
+        # One macro-rep's sites through the run's k-site arrays and through
         # estimate_site one site at a time; a singular fit at site 2 makes
-        # POT-EVT fall back. n = 1 drops POT-EMP, n = 3 keeps all four methods.
+        # POT-EVT fall back there and nowhere else. n = 1 drops POT-EMP, n = 3
+        # keeps all four methods.
         cfg = hn.ExperimentConfig(scenario="pareto",
                                   allocation=BudgetAllocation(0, 6, n, 300, 1800 * n))
         data = [hn._simulate_site(cfg, x, 0, i)
@@ -103,11 +104,17 @@ class TestEstimateSite:
                 empirical.add(i, j, s)
         assert len(cfg.resolved_methods()) == (3 if n == 1 else 4)
         for method, alpha in itertools.product(cfg.resolved_methods(), (0.95, 0.99)):
-            batch = hn._site_estimates(method, fits, empirical, alpha)
-            assert batch == [hn.estimate_site(method, site, alpha, gpd_fits=site_fits)
-                             for site, site_fits in zip(data, fits)]
-            assert [e.fallbacks for e in batch] == [
+            responses, variances, fallbacks, heavy, boundary = hn._site_estimates(
+                method, fits, empirical, alpha)
+            one = [hn.estimate_site(method, site, alpha, gpd_fits=site_fits)
+                   for site, site_fits in zip(data, fits)]
+            assert responses.tolist() == [e.response for e in one]
+            assert variances.tolist() == [e.variance for e in one]
+            assert [e.fallbacks for e in one] == [
                 int(method == hn.POT_EVT and i == 2) for i in range(6)]
+            assert (fallbacks, heavy, boundary) == tuple(
+                sum(getattr(e, name) for e in one)
+                for name in ("fallbacks", "heavy_tails", "boundary_fits"))
 
 
 class TestExperimentConfig:
@@ -165,6 +172,27 @@ class TestExperimentConfig:
             with pytest.raises(hn.ConfigError) as info:
                 cell.validate()
             assert [name for name, _ in info.value.args] == ["allocation"]
+
+    def test_roster_left_empty_rejected(self):
+        # POT-EMP is dropped at n = 1, so a roster of it alone would run nothing.
+        cell = dict(scenario="normal", allocation=3, macro_replications=1, alphas=(0.99,))
+        with pytest.raises(hn.ConfigError) as info:
+            hn.ExperimentConfig(methods=(hn.POT_EMP,), **cell).validate()
+        assert [name for name, _ in info.value.args] == ["methods"]
+        assert "must not be POT-EMP alone at n = 1" in str(info.value)
+        hn.ExperimentConfig(methods=(hn.POT_EMP, hn.EMP_EMP), **cell).validate()
+
+    def test_pot_sample_floor_rejected(self):
+        # fit_gpd needs 60 observations per sample; 40 would fail every POT record.
+        cell = dict(scenario="normal", allocation=BudgetAllocation(0, 5, 1, 40, 200),
+                    macro_replications=1, n_test=5, alphas=(0.95,))
+        with pytest.raises(hn.ConfigError) as info:
+            hn.ExperimentConfig(methods=(hn.POT_EVT,), **cell).validate()
+        assert [name for name, _ in info.value.args] == ["allocation"]
+        assert "need at least 60 observations for a tail fit, got 40" in str(info.value)
+        empirical_only = hn.ExperimentConfig(methods=(hn.ORD_KRG, hn.EMP_EMP), **cell)
+        empirical_only.validate()
+        assert all(r.mape is not None for r in hn.run_experiment(empirical_only))
 
     def test_alphas_below_pot_threshold_level_rejected(self):
         # 1,000 observations at q = 0.99 leave 10 exceedances; fit_gpd lowers the

@@ -53,10 +53,6 @@ class TestKernel:
             kg.kernel((0.0,), (1.0, 2.0), (1.0, 1.0))
 
 
-def _no_factor(*args, **kwargs):
-    raise kg.SingularDesignError("covariance matrix is not positive definite")
-
-
 class TestFit:
     def test_noiseless_interpolation(self):
         sites, x = sine_sites(20)
@@ -146,10 +142,9 @@ class TestFit:
         ("SOLVE_RTOL", 0.0, "solve check failed (SOLVE_RTOL 0)"),
         ("_neg_profile_loglik", lambda *args: (1e300, 0),
          "likelihood search failed at every start"),
-        ("assemble", _no_factor, "best covariance did not factor"),
-    ], ids=["solve-check", "search", "factor"])
+    ], ids=["solve-check", "search"])
     def test_failed_ladder_names_its_cause(self, monkeypatch, attr, stand_in, cause):
-        # The stand-in makes one of fit's three checks reject every nugget; the
+        # The stand-in makes one of fit's two checks reject every nugget; the
         # error names that check at the top of the ladder.
         monkeypatch.setattr(kg, attr, stand_in)
         sites, _ = sine_sites(8)
@@ -337,6 +332,13 @@ class TestLikelihood:
         for delta in (-1e-3, 1e-3):
             assert kg.log_likelihood(sites, 1.0, [1.5],
                                      beta0=model.beta0 + delta) <= best
+
+    def test_coincident_zero_noise_sites_do_not_factor(self):
+        # fit rejects such a pair before its search; assemble meets it as a
+        # covariance that does not factor.
+        sites = [kg.DesignSite((0.5,), 1.0), kg.DesignSite((0.5,), 2.0)]
+        with pytest.raises(kg.SingularDesignError, match="covariance not positive definite"):
+            kg.assemble(sites, tau2=1.0, theta=[1.0])
 
     @pytest.mark.parametrize("tau2, theta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
                                              (1.0, -2.0)])
